@@ -122,8 +122,11 @@ def _build_report(args) -> dict:
         else:
             if not var_used > 0:
                 raise NumericPreconditionError(
-                    "fit requires positive variance; the table is "
-                    "independence-degenerate at this order"
+                    "fit requires positive variance; zero leading-order "
+                    "variance (the log-ratio is constant on the table's support)"
+                    if var_order_used == 1 else
+                    "fit requires positive variance; the second-order variance "
+                    "is %r" % var_used
                 )
             fit_result = fit_two_moment(summary.mean_exact, var_used, args.fit)
         fit_block = asdict(fit_result)

@@ -14,13 +14,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import root
 from scipy.special import erfc, gammaincc
 
 from .errors import FitError, ValidationError
 
 TWO_MOMENT_FAMILIES = ("normal", "gamma", "lognormal")
+
+
+def root(*args, **kwargs):
+    """scipy.optimize.root, imported on the first call: only the four-moment
+    fit needs it, so importing the package does not pay for loading it."""
+    from scipy.optimize import root as _root
+
+    return _root(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -255,14 +261,14 @@ def survival(f: FitResult, i_star: float) -> float:
             g = _gamma_raw(shape, scale, 2)
             t = [g[k] * float(gammaincc(shape + k, i_star / scale)) for k in range(3)]
             return (t[0] + b * t[1] + c * t[2]) / z
-        val, _ = quad(lambda x: density(f, np.array([x]))[0], i_star, math.inf,
-                      epsabs=1e-9, limit=200)
-        return float(val)
+        return survival_quad(f, i_star)
     raise ValidationError("unknown family %r" % f.family)
 
 
 def survival_quad(f: FitResult, i_star: float) -> float:
     """Tail probability by adaptive quadrature; cross-check for survival()."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda x: density(f, np.array([x]))[0], i_star, math.inf,
                   epsabs=1e-9, limit=200)
     return float(val)

@@ -12,9 +12,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import digamma
 
-from .errors import DegenerateError, ValidationError, ZeroCellError
-from .special import psi
+from .errors import (
+    DegenerateError,
+    NumericPreconditionError,
+    ValidationError,
+    ZeroCellError,
+)
 from .tables import PosteriorCounts
 
 
@@ -86,14 +91,15 @@ def point_mi(q: np.ndarray) -> float:
     return float(np.sum(q[pos] * np.log(ratio[pos])))
 
 
-def _log_ratio(c: PosteriorCounts) -> np.ndarray:
-    """log(n_ij * n / (n_i+ n_+j)) with 0 at zero cells."""
-    n = c.counts
-    outer = np.outer(c.row_sums, c.col_sums)
-    lr = np.zeros_like(n)
-    pos = n > 0
-    lr[pos] = np.log(n[pos] * c.total / outer[pos])
-    return lr
+def _finite(value: float, what: str) -> float:
+    """Pass a finite value through; map overflow or underflow to the
+    documented precondition error instead of letting inf or NaN leak out."""
+    if not math.isfinite(value):
+        raise NumericPreconditionError(
+            "%s is %r in double precision; the counts are too extreme in "
+            "magnitude (rescale them)" % (what, value)
+        )
+    return value
 
 
 def point_stats(c: PosteriorCounts) -> PointStats:
@@ -104,21 +110,31 @@ def point_stats(c: PosteriorCounts) -> PointStats:
             np.zeros(c.r), np.zeros(c.s),
         )
     n = c.counts
+    pos = n > 0
+    # Empty rows and columns hold only zero cells; dividing those zeros by 1
+    # instead of 0 keeps every quotient finite.
+    rows = np.where(c.row_sums > 0, c.row_sums, 1.0)[:, None]
+    cols = np.where(c.col_sums > 0, c.col_sums, 1.0)
+    # log(n_ij n / (n_i+ n_+j)), 0 at zero cells, formed from the two factors
+    # n_ij / n_i+ and n_+j / n that are each at most 1, so no product of
+    # counts overflows.
+    by_row = n / rows
+    by_col = n / cols
     w = n / c.total
-    lr = _log_ratio(c)
+    lr = np.log(by_row / (cols / c.total), out=np.zeros_like(n), where=pos)
     wl = w * lr
-    j = float(wl.sum())
-    k = float((wl * lr).sum())
-    l = float((wl * lr * lr).sum())
+    wll = wl * lr
+    j = _finite(float(wl.sum()), "J")
+    k = _finite(float(wll.sum()), "K")
+    l = _finite(float((wll * lr).sum()), "L")
     row_j = wl.sum(axis=1)
     col_j = wl.sum(axis=0)
-    q = 1.0 - float((n * n / np.outer(c.row_sums, c.col_sums)).sum())
+    q = _finite(1.0 - float((by_row * by_col).sum()), "Q")
     if c.all_positive:
-        inv = 1.0 / n - (1.0 / c.row_sums)[:, None] - (1.0 / c.col_sums)[None, :] \
-            + 1.0 / c.total
-        m = float((inv * n * lr).sum())
-        p = float(c.total * ((row_j**2 / c.row_sums).sum()
-                             + (col_j**2 / c.col_sums).sum()))
+        # n_ij (1/n_ij - 1/n_i+ - 1/n_+j + 1/n), multiplied out
+        m = _finite(float(((1.0 - by_row - by_col + w) * lr).sum()), "M")
+        p = _finite(float(c.total * ((row_j**2 / c.row_sums).sum()
+                                     + (col_j**2 / c.col_sums).sum())), "P")
     else:
         m = math.nan
         p = math.nan
@@ -130,34 +146,37 @@ def mean_exact(c: PosteriorCounts) -> float:
     if _degenerate(c):
         return 0.0
     n = c.counts
-    psi_total = psi(c.total + 1.0)
-    psi_rows = np.array([psi(v + 1.0) for v in c.row_sums])
-    psi_cols = np.array([psi(v + 1.0) for v in c.col_sums])
-    terms = []
-    for i in range(c.r):
-        for jx in range(c.s):
-            nij = n[i, jx]
-            if nij > 0:
-                terms.append(
-                    nij * (psi(nij + 1.0) - psi_rows[i] - psi_cols[jx] + psi_total)
-                )
-    return math.fsum(terms) / c.total
+    psi_margins = digamma(np.concatenate((c.row_sums, c.col_sums)) + 1.0)
+    psi_rows = psi_margins[:c.r, None]
+    psi_cols = psi_margins[c.r:]
+    # Zero cells contribute 0 * psi(1) = 0, so the whole grid can be summed.
+    terms = n * (digamma(n + 1.0) - psi_rows - psi_cols + digamma(c.total + 1.0))
+    # fsum rounds the sum once; a memoryview hands it Python floats without
+    # building a list.
+    return _finite(math.fsum(memoryview(terms.ravel())) / c.total,
+                   "the exact mean")
+
+
+def _mean_o2(c: PosteriorCounts, st: PointStats) -> float:
+    return st.j + (c.r - 1) * (c.s - 1) / (2.0 * (c.total + 1.0))
 
 
 def mean_o2(c: PosteriorCounts) -> float:
     """Second-order mean: J + (r-1)(s-1) / (2(n+1))."""
     if _degenerate(c):
         return 0.0
-    st = point_stats(c)
-    return st.j + (c.r - 1) * (c.s - 1) / (2.0 * (c.total + 1.0))
+    return _mean_o2(c, point_stats(c))
+
+
+def _var_o1(c: PosteriorCounts, st: PointStats) -> float:
+    return max(0.0, st.k - st.j**2) / (c.total + 1.0)
 
 
 def var_o1(c: PosteriorCounts) -> float:
     """Leading-order variance (K - J^2) / (n+1)."""
     if _degenerate(c):
         return 0.0
-    st = point_stats(c)
-    return max(0.0, st.k - st.j**2) / (c.total + 1.0)
+    return _var_o1(c, point_stats(c))
 
 
 def _require_all_positive(c: PosteriorCounts, what: str) -> None:
@@ -169,6 +188,13 @@ def _require_all_positive(c: PosteriorCounts, what: str) -> None:
         )
 
 
+def _var_o2(c: PosteriorCounts, st: PointStats) -> float:
+    _require_all_positive(c, "second-order variance")
+    n = c.total
+    corr = (st.m + (c.r - 1) * (c.s - 1) * (0.5 - st.j) - st.q) / ((n + 1.0) * (n + 2.0))
+    return _var_o1(c, st) + corr
+
+
 def var_o2(c: PosteriorCounts) -> float:
     """Variance through second order.
 
@@ -177,31 +203,58 @@ def var_o2(c: PosteriorCounts) -> float:
     """
     if _degenerate(c):
         return 0.0
-    _require_all_positive(c, "second-order variance")
-    st = point_stats(c)
+    return _var_o2(c, point_stats(c))
+
+
+def _central3(c: PosteriorCounts, st: PointStats) -> float:
+    _require_all_positive(c, "third central moment")
+    # Divide by n twice: n**2 raises OverflowError for large Python floats.
     n = c.total
-    lead = max(0.0, st.k - st.j**2) / (n + 1.0)
-    corr = (st.m + (c.r - 1) * (c.s - 1) * (0.5 - st.j) - st.q) / ((n + 1.0) * (n + 2.0))
-    return lead + corr
+    return _finite((2.0 / n / n) * (2.0 * st.j**3 - 3.0 * st.k * st.j + st.l)
+                   + (3.0 / n / n) * (st.k + st.j**2 - st.p),
+                   "the third central moment")
 
 
 def central3(c: PosteriorCounts) -> float:
     """Leading-order third central moment of I."""
     if _degenerate(c):
         return 0.0
-    _require_all_positive(c, "third central moment")
-    st = point_stats(c)
-    n2 = c.total**2
-    return (2.0 / n2) * (2.0 * st.j**3 - 3.0 * st.k * st.j + st.l) \
-        + (3.0 / n2) * (st.k + st.j**2 - st.p)
+    return _central3(c, point_stats(c))
+
+
+def _central4(c: PosteriorCounts, st: PointStats) -> float:
+    n = c.total
+    return _finite(3.0 * max(0.0, st.k - st.j**2) ** 2 / n / n,
+                   "the fourth central moment")
 
 
 def central4(c: PosteriorCounts) -> float:
     """Leading-order fourth central moment: 3 (K - J^2)^2 / n^2."""
     if _degenerate(c):
         return 0.0
-    st = point_stats(c)
-    return 3.0 * max(0.0, st.k - st.j**2) ** 2 / c.total**2
+    return _central4(c, point_stats(c))
+
+
+def _skew_kurt(c: PosteriorCounts, st: PointStats) -> tuple[float, float]:
+    v1 = _var_o1(c, st)
+    if not (v1 > 0):
+        # The leading-order moments all vanish together; dividing the
+        # (vanishing) third and fourth moments by a purely second-order
+        # variance would produce meaningless shape values.
+        raise DegenerateError(
+            "zero leading-order variance (the log-ratio is constant on the "
+            "table's support); skewness and kurtosis are undefined at this order"
+        )
+    if c.all_positive:
+        var = _var_o2(c, st)
+        if not (var > 0):
+            var = v1
+        mu3 = _central3(c, st)
+    else:
+        var = v1
+        mu3 = math.nan
+    # Divide step by step: var**2 can underflow to 0 while the ratio is finite.
+    return mu3 / var / math.sqrt(var), _central4(c, st) / var / var
 
 
 def skew_kurt(c: PosteriorCounts) -> tuple[float, float]:
@@ -209,27 +262,12 @@ def skew_kurt(c: PosteriorCounts) -> tuple[float, float]:
 
     Divides by the best available variance (second order when the table is
     strictly positive, else leading order). Raises DegenerateError when the
-    leading-order variance vanishes (independence-degenerate tables).
+    leading-order variance vanishes (the log-ratio is constant on the
+    table's support).
     """
     if _degenerate(c):
         raise DegenerateError("constant variable: I is identically 0")
-    if not (var_o1(c) > 0):
-        # The leading-order moments all vanish together; dividing the
-        # (vanishing) third and fourth moments by a purely second-order
-        # variance would produce meaningless shape values.
-        raise DegenerateError(
-            "leading-order variance is 0 (independence-degenerate table); "
-            "skewness and kurtosis are undefined at this order"
-        )
-    if c.all_positive:
-        var = var_o2(c)
-        if not (var > 0):
-            var = var_o1(c)
-        mu3 = central3(c)
-    else:
-        var = var_o1(c)
-        mu3 = math.nan
-    return mu3 / var**1.5, central4(c) / var**2
+    return _skew_kurt(c, point_stats(c))
 
 
 def dirichlet_covariance(c: PosteriorCounts) -> np.ndarray:
@@ -283,13 +321,14 @@ def summarize(c: PosteriorCounts) -> MomentSummary:
         flags["constant_variable"] = True
         return MomentSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan, math.nan,
                              im, ratio, flags)
+    st = point_stats(c)
     me = mean_exact(c)
-    mo2 = mean_o2(c)
-    v1 = var_o1(c)
-    mu4 = central4(c)
+    mo2 = _mean_o2(c, st)
+    v1 = _var_o1(c, st)
+    mu4 = _central4(c, st)
     if c.all_positive:
-        v2 = var_o2(c)
-        mu3 = central3(c)
+        v2 = _var_o2(c, st)
+        mu3 = _central3(c, st)
         if v2 < 0:
             flags["validity_warning"] = (
                 "second-order variance is negative: rs/n = %.3g is outside "
@@ -300,7 +339,7 @@ def summarize(c: PosteriorCounts) -> MomentSummary:
         v2 = math.nan
         mu3 = math.nan
     try:
-        skew, kurt = skew_kurt(c)
+        skew, kurt = _skew_kurt(c, st)
     except DegenerateError as exc:
         flags["shape_degenerate"] = str(exc)
         skew = kurt = math.nan

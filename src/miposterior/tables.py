@@ -145,27 +145,14 @@ def parse_table(text: str, fmt: str = "csv") -> CountsTable:
     """Parse a contingency table from csv, tsv, or json text."""
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"
-        rows = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rows.append(line.split(sep))
+        rows = [line.split(sep) for line in text.splitlines() if line.strip()]
         if not rows:
             raise ValidationError("empty table")
-        width = len(rows[0])
-        grid = np.empty((len(rows), width))
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValidationError(
-                    "ragged row %d: expected %d fields, got %d" % (i, width, len(row))
-                )
-            for j, cell in enumerate(row):
-                try:
-                    grid[i, j] = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        "non-numeric entry %r at cell (%d, %d)" % (cell.strip(), i, j)
-                    ) from None
+        try:
+            grid = np.array(rows, dtype=float)
+        except ValueError:
+            _raise_bad_cell(rows)
+            raise
     elif fmt == "json":
         try:
             data = json.loads(text)
@@ -183,6 +170,23 @@ def parse_table(text: str, fmt: str = "csv") -> CountsTable:
     else:
         raise ValidationError("unknown format %r; expected csv, tsv, or json" % fmt)
     return CountsTable(grid)
+
+
+def _raise_bad_cell(rows: list[list[str]]) -> None:
+    """Raise a ValidationError naming the first ragged row or non-numeric cell."""
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValidationError(
+                "ragged row %d: expected %d fields, got %d" % (i, width, len(row))
+            )
+        for j, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValidationError(
+                    "non-numeric entry %r at cell (%d, %d)" % (cell.strip(), i, j)
+                ) from None
 
 
 def serialize_table(table: CountsTable, fmt: str = "csv") -> str:

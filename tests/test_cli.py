@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -154,3 +156,35 @@ def test_degenerate_table_reported_not_crashed(capsys, tmp_path):
     report = json.loads(out)
     assert report["moments"]["i_max"] == 0.0
     assert report["moments"]["mean_exact"] == 0.0
+
+
+def test_dependent_zero_variance_message(capsys, zero_cell_csv):
+    code, _, err = run(capsys, ["--input", zero_cell_csv, "--prior", "haldane"])
+    assert code == 3
+    assert "zero leading-order variance" in err
+    assert "independence" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "1e200,1\n1,1e200\n",  # products of counts overflow
+    "3e170,1e170\n1e170,2e170\n",  # the variance squared underflows
+    "1e-200,1e-200\n1e-200,2e-200\n",  # n^2 underflows to 0
+    "1e308,1e308\n1e308,1e308\n",  # the total overflows
+])
+def test_extreme_magnitudes_exit_cleanly(capsys, tmp_path, text):
+    p = tmp_path / "big.csv"
+    p.write_text(text)
+    code, out, err = run(capsys, ["--input", str(p), "--prior", "haldane"])
+    assert code in (0, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    code = ("import sys, miposterior.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

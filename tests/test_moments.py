@@ -19,6 +19,7 @@ from miposterior import (
     mean_var_from_cov,
     point_mi,
     point_stats,
+    psi,
     skew_kurt,
     summarize,
     var_o1,
@@ -200,6 +201,10 @@ class TestExpansions:
             skew_kurt(posterior([[5, 5], [5, 5]]))
         with pytest.raises(DegenerateError):
             skew_kurt(posterior([[1, 2, 3]]))
+        # perfectly dependent: the log-ratio is log 2 on every positive cell
+        with pytest.raises(DegenerateError, match="log-ratio is constant") as ei:
+            skew_kurt(posterior([[5, 0], [0, 5]]))
+        assert "independence" not in str(ei.value)
 
 
 class TestCovariancePath:
@@ -332,3 +337,96 @@ class TestInvariants:
             assert var_o1(c) >= 0
             assert central4(c) >= 0
             assert st.k - st.j**2 >= 0
+
+
+# The scalar formulas that the vectorized kernel replaced: one special.psi
+# call per cell and marginal summed with math.fsum, and the point statistics
+# recomputed for every quantity from log(n_ij n / (n_i+ n_+j)).
+def _old_point_stats(n):
+    total = n.sum()
+    rows, cols = n.sum(axis=1), n.sum(axis=0)
+    outer = np.outer(rows, cols)
+    pos = n > 0
+    lr = np.zeros_like(n)
+    lr[pos] = np.log(n[pos] * total / outer[pos])
+    wl = n / total * lr
+    st = {"j": float(wl.sum()), "k": float((wl * lr).sum()),
+          "l": float((wl * lr * lr).sum())}
+    if np.all(pos):
+        row_j, col_j = wl.sum(axis=1), wl.sum(axis=0)
+        inv = 1.0 / n - (1.0 / rows)[:, None] - (1.0 / cols)[None, :] + 1.0 / total
+        st["m"] = float((inv * n * lr).sum())
+        st["p"] = float(total * ((row_j**2 / rows).sum() + (col_j**2 / cols).sum()))
+        st["q"] = 1.0 - float((n * n / outer).sum())
+    return st
+
+
+def _old_mean_exact(n):
+    rows, cols = n.sum(axis=1), n.sum(axis=0)
+    psi_total = psi(n.sum() + 1.0)
+    terms = [n[i, j] * (psi(n[i, j] + 1.0) - psi(rows[i] + 1.0)
+                        - psi(cols[j] + 1.0) + psi_total)
+             for i in range(n.shape[0]) for j in range(n.shape[1]) if n[i, j] > 0]
+    return math.fsum(terms) / n.sum(), math.fsum(abs(t) for t in terms) / n.sum()
+
+
+def _old_summary(n):
+    r, s = n.shape
+    total = float(n.sum())
+
+    def st():  # one point-statistics pass per quantity, as before
+        return _old_point_stats(n)
+
+    out = {"mean_o2": st()["j"] + (r - 1) * (s - 1) / (2.0 * (total + 1.0)),
+           "var_o1": max(0.0, st()["k"] - st()["j"] ** 2) / (total + 1.0),
+           "central4": 3.0 * max(0.0, st()["k"] - st()["j"] ** 2) ** 2 / total**2}
+    if np.all(n > 0):
+        a = st()
+        out["var_o2"] = out["var_o1"] + (
+            a["m"] + (r - 1) * (s - 1) * (0.5 - a["j"]) - a["q"]
+        ) / ((total + 1.0) * (total + 2.0))
+        out["central3"] = (2.0 / total**2) * (
+            2.0 * a["j"] ** 3 - 3.0 * a["k"] * a["j"] + a["l"]
+        ) + (3.0 / total**2) * (a["k"] + a["j"] ** 2 - a["p"])
+    if out["var_o1"] > 0:
+        var = out["var_o1"]
+        if out.get("var_o2", 0.0) > 0:
+            var = out["var_o2"]
+        out["skewness"] = out.get("central3", math.nan) / var**1.5
+        out["kurtosis"] = out["central4"] / var**2
+    return out
+
+
+class TestKernelRegression:
+    def test_matches_scalar_formulas(self):
+        rng = np.random.default_rng(2001)
+        for trial in range(120):
+            r, s = rng.integers(2, 21, size=2)
+            counts = rng.poisson(10.0 ** rng.uniform(-0.5, 2.5), size=(r, s))
+            counts = counts.astype(float)
+            counts[0, 0] += 1.0  # some table entry must be positive
+            c = posterior(counts, ("haldane", "jeffreys")[trial % 2])
+            got = summarize(c)
+            for key, want in _old_summary(c.counts).items():
+                assert getattr(got, key) == pytest.approx(
+                    want, rel=1e-12, abs=1e-300, nan_ok=True), key
+            # The digamma sum cancels on near-independent tables, so the
+            # bound is relative to the sum of its absolute terms.
+            want, scale = _old_mean_exact(c.counts)
+            assert abs(got.mean_exact - want) <= 1e-12 * scale
+
+    def test_mean_exact_against_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2002)
+        with mpmath.workdps(40):
+            for trial in range(60):
+                r, s = rng.integers(2, 9, size=2)
+                counts = rng.poisson(10.0 ** rng.uniform(0.5, 2.5), size=(r, s))
+                c = posterior(counts + 1.0, ("haldane", "jeffreys")[trial % 2])
+                psi1 = [mpmath.digamma(mpmath.mpf(float(v)) + 1)
+                        for v in (*c.row_sums, *c.col_sums, c.total)]
+                exact = mpmath.fsum(
+                    nij * (mpmath.digamma(mpmath.mpf(float(nij)) + 1)
+                           - psi1[i] - psi1[r + j] + psi1[-1])
+                    for (i, j), nij in np.ndenumerate(c.counts)) / c.total
+                assert mean_exact(c) == pytest.approx(float(exact), rel=1e-12)

@@ -42,6 +42,24 @@ def test_parse_non_numeric_names_cell():
         parse_table("1,x\n3,4", "csv")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3\n", "ragged row 1: expected 2 fields, got 1"),
+    ("1,2\n3,4,5\n6,y\n", "ragged row 1: expected 2 fields, got 3"),
+    ("1,x\n3\n", "non-numeric entry 'x' at cell (0, 1)"),
+    (" 1 , 2 \n 3 ,  x \n", "non-numeric entry 'x' at cell (1, 1)"),
+    ("1,2\n\n3,\n", "non-numeric entry '' at cell (1, 1)"),
+])
+def test_parse_error_names_first_bad_cell(text, message):
+    with pytest.raises(ValidationError) as ei:
+        parse_table(text, "csv")
+    assert str(ei.value) == message
+
+
+def test_parse_tolerates_surrounding_whitespace():
+    t = parse_table(" 1 ,\t2\n3 , 4 \r\n", "csv")
+    assert np.array_equal(t.counts, [[1, 2], [3, 4]])
+
+
 def test_parse_empty():
     with pytest.raises(ValidationError):
         parse_table("", "csv")
