@@ -15,10 +15,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .errors import NumericPreconditionError, ValidationError
+from .errors import FitError, NumericPreconditionError, ValidationError
 from .fit import central_to_raw, fit_poly_ansatz, fit_two_moment, survival
 from .mc import mc_estimate
-from .moments import point_stats, summarize
+from .moments import _summarize
 from .tables import CountsTable, PriorSpec, apply_prior, parse_table
 
 EXIT_OK = 0
@@ -87,8 +87,7 @@ def _build_report(args) -> dict:
     else:
         prior = PriorSpec(args.prior)
     post = apply_prior(table, prior)
-    summary = summarize(post)
-    stats = point_stats(post)
+    summary, stats = _summarize(post)
 
     if args.var_order == "1":
         var_used, var_order_used = summary.var_o1, 1
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = _build_report(args)
-    except NumericPreconditionError as exc:
+    except (NumericPreconditionError, FitError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_PRECONDITION
     except (ValidationError, OSError) as exc:

@@ -58,14 +58,31 @@ def sample_dirichlet(c: PosteriorCounts, rng: np.random.Generator) -> np.ndarray
     return x / x.sum()
 
 
+def _margins(r: int, s: int) -> np.ndarray:
+    """The (r*s, 1+r+s) 0/1 matrix that maps a row-major r x s table to its
+    total, its row sums and its column sums."""
+    cells = np.arange(r * s)
+    a = np.zeros((r * s, 1 + r + s))
+    a[:, 0] = 1.0
+    a[cells, 1 + cells // s] = 1.0
+    a[cells, 1 + r + cells % s] = 1.0
+    return a
+
+
 def _mi_of_samples(x: np.ndarray, r: int, s: int) -> np.ndarray:
-    """I(pi) for a batch of gamma draws, shape (m, r*s) -> (m,)."""
-    p = x / x.sum(axis=1, keepdims=True)
-    p = p.reshape(-1, r, s)
-    pi = p.sum(axis=2)
-    pj = p.sum(axis=1)
-    lr = np.log(p) - np.log(pi)[:, :, None] - np.log(pj)[:, None, :]
-    out = (p * lr).sum(axis=(1, 2))
+    """I(pi) for a batch of unnormalized gamma draws, shape (m, r*s) -> (m,).
+
+    With pi = x / X, I = (sum x log x - sum R log R - sum C log C) / X + log X
+    for the total X, row sums R and column sums C of the draws, so no
+    normalized copy of x is formed.
+    """
+    sums = x @ _margins(r, s)
+    total = sums[:, 0]
+    marg = sums[:, 1:]
+    # einsum forms each row's sum of products without a temporary array.
+    out = (np.einsum("ij,ij->i", x, np.log(x))
+           - np.einsum("ij,ij->i", marg, np.log(marg))) / total
+    out += np.log(total)
     # I >= 0 analytically; floor tiny negative rounding residue.
     return np.maximum(out, 0.0)
 
@@ -105,7 +122,9 @@ def mc_estimate(
     while pos < n_samples:
         m = min(_BLOCK, n_samples - pos)
         rng = np.random.default_rng([seed, block])
-        x = rng.gamma(shape=shapes, size=(m, shapes.size))
+        # The same variates as rng.gamma(shape=shapes, ...), without its
+        # scale multiply.
+        x = rng.standard_gamma(shapes, size=(m, shapes.size))
         values[pos:pos + m] = _mi_of_samples(x, c.r, c.s)
         pos += m
         block += 1

@@ -314,14 +314,19 @@ def mean_var_from_cov(qhat: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
 
 def summarize(c: PosteriorCounts) -> MomentSummary:
     """All moments with flags instead of exceptions for degenerate regimes."""
+    return _summarize(c)[0]
+
+
+def _summarize(c: PosteriorCounts) -> tuple[MomentSummary, PointStats]:
+    """summarize() and the point statistics it was computed from."""
     flags: dict = {}
     im = i_max(c)
     ratio = c.r * c.s / c.total
+    st = point_stats(c)
     if _degenerate(c):
         flags["constant_variable"] = True
         return MomentSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan, math.nan,
-                             im, ratio, flags)
-    st = point_stats(c)
+                             im, ratio, flags), st
     me = mean_exact(c)
     mo2 = _mean_o2(c, st)
     v1 = _var_o1(c, st)
@@ -343,4 +348,4 @@ def summarize(c: PosteriorCounts) -> MomentSummary:
     except DegenerateError as exc:
         flags["shape_degenerate"] = str(exc)
         skew = kurt = math.nan
-    return MomentSummary(me, mo2, v1, v2, mu3, mu4, skew, kurt, im, ratio, flags)
+    return MomentSummary(me, mo2, v1, v2, mu3, mu4, skew, kurt, im, ratio, flags), st

@@ -127,6 +127,39 @@ def test_ansatz_fit(capsys, table_csv):
     assert report["fit"]["diagnostics"]["residual"] <= 1e-8
 
 
+def test_ansatz_without_root_exits_3(capsys, tmp_path):
+    # Its series kurtosis is below skewness^2 + 1: no gamma-base ansatz
+    # has these four moments.
+    p = tmp_path / "t.csv"
+    p.write_text("8,3\n5,4\n")
+    code, out, err = run(capsys, ["--input", str(p), "--prior", "jeffreys",
+                                  "--fit", "ansatz"])
+    assert code == 3
+    assert out == ""
+    assert "best residual" in err
+    assert "Traceback" not in err
+
+
+def test_one_point_stats_pass_per_report(capsys, table_csv, monkeypatch):
+    from miposterior import cli, moments
+
+    calls = []
+    original = moments.point_stats
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    for mod in (moments, cli):
+        if getattr(mod, "point_stats", None) is original:
+            monkeypatch.setattr(mod, "point_stats", counted)
+    code, out, _ = run(capsys, ["--input", table_csv])
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads(out)
+    assert report["point_stats"]["j"] == original(calls[0]).j
+
+
 def test_text_format(capsys, table_csv):
     code, out, _ = run(capsys, ["--input", table_csv, "--format", "text"])
     assert code == 0
@@ -188,3 +221,14 @@ def test_import_leaves_integrate_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_ansatz_report_leaves_optimize_unloaded(table_csv):
+    code = ("import contextlib, io, sys\n"
+            "from miposterior.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['--input', %r, '--fit', 'ansatz', '--quantile', '0.2'])\n"
+            "print(code, 'scipy.optimize' in sys.modules)" % table_csv)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "False"]

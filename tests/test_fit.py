@@ -4,13 +4,65 @@ import numpy as np
 import pytest
 
 from miposterior import (
+    CountsTable,
+    FitError,
+    PriorSpec,
     ValidationError,
+    apply_prior,
     central_to_raw,
     fit_poly_ansatz,
     fit_two_moment,
+    summarize,
     survival,
 )
-from miposterior.fit import _normal_raw, survival_quad
+from miposterior.fit import (
+    _ansatz_raw,
+    _normal_raw,
+    _poly_mul,
+    _resultant,
+    _shape_moments,
+    survival_quad,
+)
+
+
+def cli_moments(rows):
+    """The raw moments and support bound that `--prior jeffreys --fit ansatz`
+    hands to the fit for a table."""
+    post = apply_prior(CountsTable(np.array(rows, dtype=float)), PriorSpec("jeffreys"))
+    s = summarize(post)
+    var = s.var_o2 if math.isfinite(s.var_o2) and s.var_o2 > 0 else s.var_o1
+    return central_to_raw(s.mean_exact, var, s.central3, s.central4), s.i_max * 1.05
+
+
+def nonnegative(x, base, hi):
+    b, c, mu, s2 = x
+    grid = np.linspace(0.0, hi, 1024)
+    g1, g2 = _ansatz_raw((0.0, 0.0, mu, s2), base, 2)
+    return bool(np.all((1.0 + b * grid + c * grid * grid)
+                       * np.sign(1.0 + b * g1 + c * g2) >= 0))
+
+
+def roots_by_restarts(raw, base, starts=60):
+    """Exact roots reached by MINPACK from seeded random starts (the fit's
+    former method), as an independent reference for the algebraic solve."""
+    from scipy.optimize import root
+
+    m = np.array(raw)
+    m1, var = raw[0], raw[1] - raw[0] ** 2
+
+    def resid(x):
+        mus = _ansatz_raw(x, base)
+        return 1e3 + np.abs(x) if mus is None else np.asarray(mus) / m - 1.0
+
+    rng = np.random.default_rng(20011215)
+    found = []
+    for _ in range(starts):
+        x0 = [rng.normal(0.0, 2.0) / m1, rng.normal(0.0, 2.0) / (m1 * m1),
+              m1 * rng.uniform(0.3, 3.0), var * math.exp(rng.uniform(-2.3, 2.3))]
+        sol = root(resid, x0, method="hybr", options={"maxfev": 800})
+        if np.max(np.abs(resid(sol.x))) <= 1e-8:
+            found.append(sol.x)
+    return found
 
 
 class TestTwoMoment:
@@ -79,6 +131,90 @@ class TestPolyAnsatz:
     def test_invalid_sequence_rejected(self):
         with pytest.raises(ValidationError):
             fit_poly_ansatz(0.5, 0.2, 0.1, 0.05)  # m2 < m1^2
+
+    @pytest.mark.parametrize("rows", [
+        # Jeffreys tables on which the former 200-restart solve raised FitError
+        [[36, 167, 20, 19, 18, 19], [119, 113, 31, 41, 3, 108],
+         [29, 37, 14, 2, 29, 6], [14, 29, 20, 253, 65, 74],
+         [47, 25, 86, 29, 98, 72], [165, 23, 14, 70, 58, 53]],
+        [[163, 188, 97, 259, 39, 95], [219, 50, 88, 165, 160, 129],
+         [375, 26, 95, 126, 117, 101], [179, 11, 202, 149, 14, 310],
+         [131, 740, 259, 159, 103, 51]],
+        [[222, 176, 132, 214], [129, 293, 224, 196], [64, 19, 72, 248],
+         [227, 43, 218, 83]],
+        # two exact roots whose gamma rates differ by 0.3%
+        [[0, 3, 6], [0, 6, 0], [0, 1, 1], [0, 3, 2], [9, 7, 7]],
+    ])
+    def test_hard_tables_fit(self, rows):
+        raw, hi = cli_moments(rows)
+        f = fit_poly_ansatz(*raw, base="gamma", support_max=hi)
+        assert f.diagnostics["residual"] <= 1e-8
+        for got, want in zip(f.moments_achieved, raw):
+            assert abs(got / want - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("base", ["gamma", "normal"])
+    def test_sweep_contract_and_root_rule(self, base):
+        rng = np.random.default_rng(5)
+        fitted = 0
+        for _ in range(24):
+            r, s = rng.integers(2, 6, size=2)
+            per_cell = 5.0 * 32.0 ** rng.uniform()
+            p = rng.dirichlet(np.ones(r * s))
+            rows = rng.multinomial(round(per_cell * r * s), p).reshape(r, s)
+            raw, hi = cli_moments(rows)
+            try:
+                f = fit_poly_ansatz(*raw, base=base, support_max=hi)
+            except FitError:
+                # Only a moment sequence no proper density has may go unmatched.
+                hankel = np.array([[1.0, raw[0], raw[1]], [raw[0], raw[1], raw[2]],
+                                   [raw[1], raw[2], raw[3]]])
+                assert np.linalg.eigvalsh(hankel)[0] < 0
+                continue
+            fitted += 1
+            assert f.diagnostics["residual"] <= 1e-8
+            for got, want in zip(f.moments_achieved, raw):
+                assert abs(got / want - 1.0) <= 1e-8
+            assert f.diagnostics["roots_found"] >= 1
+            if not f.diagnostics["density_nonnegative"]:
+                assert not any(nonnegative(x, base, hi)
+                               for x in roots_by_restarts(raw, base))
+            if base == "gamma":
+                for t in (0.5 * raw[0], raw[0], 2.0 * raw[0]):
+                    assert survival(f, t) == pytest.approx(survival_quad(f, t), abs=1e-8)
+        assert fitted >= 20
+
+    def test_symmetric_moments_gamma_base(self):
+        # The all-ones 2x2 table under Haldane: k3 = k4 = 0 leaves the
+        # resultant's leading coefficient at rounding noise.
+        raw = central_to_raw(1.0 / 12.0, 1.0 / 60.0, 0.0, 0.0)
+        f = fit_poly_ansatz(*raw, base="gamma")
+        assert f.diagnostics["residual"] <= 1e-8
+
+    def test_resultant_is_sylvester_determinant(self):
+        rng = np.random.default_rng(3)
+        for c2, c3, c4 in rng.normal(0.0, 2.0, size=(50, 3)):
+            f = [-1.0, -3.0, -(3.0 * c2 + 2.0), c3 - 3.0 * c2]
+            g = [3.0 * c2, 6.0 * c2 - 3.0 * c3, c4 - 3.0 * c3 + 2.0 * c2]
+            syl = np.array([f + [0.0], [0.0] + f,
+                            g + [0.0, 0.0], [0.0] + g + [0.0], [0.0, 0.0] + g])
+            want = np.linalg.det(syl)
+            assert _resultant(c2, c3, c4) == pytest.approx(want, rel=1e-9,
+                                                           abs=1e-9 * np.abs(syl).max() ** 5)
+
+    def test_resultant_polynomial_in_the_rate(self):
+        # The gamma base solves for the roots of the resultant's coefficients
+        # in y = phi / phi0, after dropping the factor y^6.
+        m1, var, k3, k4 = 0.2165, 0.0129, 1.03e-3, 7.1e-4
+        phi0 = m1 / var
+        phi_of_y = np.zeros(13)
+        phi_of_y[1] = phi0
+        coef = _resultant(*_shape_moments(phi_of_y, m1, var, k3, k4, _poly_mul)[1:],
+                          _poly_mul)
+        assert np.abs(coef[:6]).max() <= 1e-12 * np.abs(coef).max()
+        for y in (0.3, 1.0, 2.5, 7.0):
+            want = _resultant(*_shape_moments(phi0 * y, m1, var, k3, k4)[1:])
+            got = np.polynomial.polynomial.polyval(y, coef)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * np.abs(coef).max())
 
     def test_indefinite_hankel_warned_not_rejected(self):
         # central moments (1/12, 1/60, 0, 0) cannot come from any proper

@@ -107,6 +107,25 @@ class TestMcEstimate:
                      (small.se_variance, big.se_variance)):
             assert 1.5 <= a / b <= 2.7
 
+    def test_stream_and_mi_match_normalized_reference(self):
+        # The (seed, block) contract: block k draws rng.gamma(shape=counts)
+        # from default_rng([seed, k]); I is then the plug-in MI of x / sum x.
+        c = posterior([[4, 1, 2], [1, 4, 3]], prior="jeffreys")
+        n, block = 70_000, 1 << 15
+        values = []
+        for k in range(3):
+            rng = np.random.default_rng([9, k])
+            m = min(block, n - k * block)
+            p = rng.gamma(shape=c.counts.reshape(-1), size=(m, 6)).reshape(m, 2, 3)
+            p /= p.sum(axis=(1, 2), keepdims=True)
+            pi, pj = p.sum(axis=2), p.sum(axis=1)
+            lr = np.log(p) - np.log(pi)[:, :, None] - np.log(pj)[:, None, :]
+            values.append(np.maximum((p * lr).sum(axis=(1, 2)), 0.0))
+        values = np.concatenate(values)
+        est = mc_estimate(c, n, seed=9)
+        assert est.mean == pytest.approx(values.mean(), rel=1e-12)
+        assert est.variance == pytest.approx(values.var(ddof=1), rel=1e-10)
+
     def test_sampled_mi_within_bounds(self):
         c = posterior([[4, 1], [1, 4]])
         est = mc_estimate(c, 20_000, seed=5, thresholds=(i_max(c) + 1e-12,))
