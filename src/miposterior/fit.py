@@ -15,11 +15,19 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
 from .errors import FitError, ValidationError
 
 TWO_MOMENT_FAMILIES = ("normal", "gamma", "lognormal")
+
+
+def gammaincc(a, x):
+    """scipy.special.gammaincc. scipy.special takes about 0.3 s to import and
+    only the gamma tails need it here, so the first call imports it and
+    rebinds this name to it."""
+    global gammaincc
+    from scipy.special import gammaincc
+    return gammaincc(a, x)
 
 
 @dataclass(frozen=True)
@@ -355,9 +363,14 @@ def density(f: FitResult, x: np.ndarray) -> np.ndarray:
         mu, s2 = f.params["mean"], f.params["variance"]
         return np.exp(-0.5 * (x - mu) ** 2 / s2) / math.sqrt(2.0 * math.pi * s2)
     if f.family == "gamma":
-        from scipy.stats import gamma as _gamma_dist
-
-        return _gamma_dist.pdf(x, f.params["shape"], scale=f.params["scale"])
+        # exp((a-1) log y - y - lgamma(a)) / theta with y = x / theta, in the
+        # order scipy.stats.gamma.pdf uses; 0 off the support x > 0.
+        a, theta = f.params["shape"], f.params["scale"]
+        out = np.zeros_like(x)
+        pos = x > 0
+        y = x[pos] / theta
+        out[pos] = np.exp((a - 1.0) * np.log(y) - y - math.lgamma(a)) / theta
+        return out
     if f.family == "lognormal":
         lm, lv = f.params["log_mean"], f.params["log_variance"]
         out = np.zeros_like(x)
@@ -384,14 +397,14 @@ def survival(f: FitResult, i_star: float) -> float:
         raise ValidationError("threshold must be >= 0")
     if f.family == "normal":
         mu, s2 = f.params["mean"], f.params["variance"]
-        return 0.5 * erfc((i_star - mu) / math.sqrt(2.0 * s2))
+        return 0.5 * math.erfc((i_star - mu) / math.sqrt(2.0 * s2))
     if f.family == "gamma":
         return float(gammaincc(f.params["shape"], i_star / f.params["scale"]))
     if f.family == "lognormal":
         if i_star <= 0:
             return 1.0
         lm, lv = f.params["log_mean"], f.params["log_variance"]
-        return 0.5 * erfc((math.log(i_star) - lm) / math.sqrt(2.0 * lv))
+        return 0.5 * math.erfc((math.log(i_star) - lm) / math.sqrt(2.0 * lv))
     if f.family == "poly_ansatz":
         p = f.params
         b, c, z = p["b"], p["c"], p["normalization"]

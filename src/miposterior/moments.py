@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma
 
 from .errors import (
     DegenerateError,
@@ -21,6 +20,15 @@ from .errors import (
     ZeroCellError,
 )
 from .tables import PosteriorCounts
+
+
+def digamma(x):
+    """scipy.special.digamma. scipy.special takes about 0.3 s to import and
+    only the exact mean needs it here, so the first call imports it and
+    rebinds this name to it."""
+    global digamma
+    from scipy.special import digamma
+    return digamma(x)
 
 
 @dataclass(frozen=True)
@@ -313,7 +321,15 @@ def mean_var_from_cov(qhat: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
 
 
 def summarize(c: PosteriorCounts) -> MomentSummary:
-    """All moments with flags instead of exceptions for degenerate regimes."""
+    """All moments with flags instead of exceptions for degenerate regimes.
+
+    Flag keys: ``constant_variable`` (r or s is 1, so I is identically 0),
+    ``zero_cells`` (their indices; the second-order terms are NaN),
+    ``validity_warning`` (negative second-order variance),
+    ``shape_degenerate`` (zero leading-order variance) and ``shape_underflow``
+    (the third and fourth central moments underflow, for n above about
+    1e160). The last two leave skewness and kurtosis NaN.
+    """
     return _summarize(c)[0]
 
 
@@ -343,9 +359,18 @@ def _summarize(c: PosteriorCounts) -> tuple[MomentSummary, PointStats]:
         flags["zero_cells"] = c.zero_cells()
         v2 = math.nan
         mu3 = math.nan
-    try:
-        skew, kurt = _skew_kurt(c, st)
-    except DegenerateError as exc:
-        flags["shape_degenerate"] = str(exc)
+    if v1 > 0 and mu4 == 0.0:
+        # mu4 = 3 (n+1)^2 var_o1^2 / n^2 > 0 in exact arithmetic, so a zero
+        # here is underflow and the shape ratios would read a spurious 0.
+        flags["shape_underflow"] = (
+            "the third and fourth central moments underflow in double "
+            "precision (n = %.3g); skewness and kurtosis are undefined" % c.total
+        )
         skew = kurt = math.nan
+    else:
+        try:
+            skew, kurt = _skew_kurt(c, st)
+        except DegenerateError as exc:
+            flags["shape_degenerate"] = str(exc)
+            skew = kurt = math.nan
     return MomentSummary(me, mo2, v1, v2, mu3, mu4, skew, kurt, im, ratio, flags), st

@@ -8,11 +8,12 @@ end to end.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericPreconditionError, ValidationError
 
 #: pseudo-count per cell for the named non-informative priors; perks is 1/(r*s)
 NAMED_PRIORS = ("haldane", "perks", "jeffreys", "uniform")
@@ -126,16 +127,26 @@ def apply_prior(table: CountsTable, prior: PriorSpec) -> PosteriorCounts:
     The haldane prior (0 per cell) leaves every entry bit-identical.
     """
     pseudo = prior.pseudo_counts(table.r, table.s)
-    n = table.counts if prior.kind == "haldane" else table.counts + pseudo
-    n = np.asarray(n, dtype=float)
-    n.setflags(write=False)
-    total = float(n.sum())
+    # Every cell and margin is at most the total, so testing the total covers
+    # all overflow; numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore"):
+        n = table.counts if prior.kind == "haldane" else table.counts + pseudo
+        n = np.asarray(n, dtype=float)
+        n.setflags(write=False)
+        total = float(n.sum())
+        row_sums = n.sum(axis=1)
+        col_sums = n.sum(axis=0)
+    if not math.isfinite(total):
+        raise NumericPreconditionError(
+            "the posterior total overflows double precision; the counts are "
+            "too extreme in magnitude (rescale them)"
+        )
     if total <= 0:
         raise ValidationError("posterior total must be positive")
     return PosteriorCounts(
         counts=n,
-        row_sums=n.sum(axis=1),
-        col_sums=n.sum(axis=0),
+        row_sums=row_sums,
+        col_sums=col_sums,
         total=total,
         all_positive=bool(np.all(n > 0)),
     )

@@ -223,6 +223,33 @@ def test_import_leaves_integrate_and_optimize_unloaded():
     assert out.strip() == "[]"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_total_exits_3_naming_it(capsys, tmp_path):
+    p = tmp_path / "big.csv"
+    p.write_text("1e308,1e308\n1e308,1e308\n")
+    code, _, err = run(capsys, ["--input", str(p), "--prior", "haldane"])
+    assert code == 3
+    assert "posterior total overflows" in err
+
+
+@pytest.mark.parametrize("code", [
+    "import miposterior.cli",
+    "import miposterior as mp\n"
+    "post = mp.apply_prior(mp.CountsTable([[8.0, 2.0], [2.0, 8.0]]), "
+    "mp.PriorSpec('jeffreys'))\n"
+    "mp.mc_estimate(post, 10000, seed=1, thresholds=(0.1,))",
+    "import miposterior as mp\n"
+    "mp.survival(mp.fit_two_moment(0.3, 0.02, 'normal'), 0.4)",
+    "import miposterior as mp\n"
+    "mp.survival(mp.fit_two_moment(0.3, 0.02, 'lognormal'), 0.4)",
+], ids=["import_cli", "mc_estimate", "normal_tail", "lognormal_tail"])
+def test_scipy_free_paths_load_no_scipy(code):
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_ansatz_report_leaves_optimize_unloaded(table_csv):
     code = ("import contextlib, io, sys\n"
             "from miposterior.cli import main\n"

@@ -285,6 +285,14 @@ class TestSummarize:
         assert s.flags["zero_cells"] == [(0, 1), (1, 0)]
         assert math.isfinite(s.mean_exact) and math.isfinite(s.var_o1)
 
+    def test_shape_underflow_flagged(self):
+        # var_o1 is about 2e-172, so the fourth central moment underflows.
+        s = summarize(posterior([[3e170, 1e170], [1e170, 2e170]]))
+        assert s.var_o1 > 0 and s.central4 == 0.0
+        assert math.isnan(s.skewness) and math.isnan(s.kurtosis)
+        assert "underflow" in s.flags["shape_underflow"]
+        assert "shape_degenerate" not in s.flags
+
 
 class TestInvariants:
     def test_permutation_and_transposition(self):

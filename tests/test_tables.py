@@ -3,6 +3,7 @@ import pytest
 
 from miposterior import (
     CountsTable,
+    NumericPreconditionError,
     PriorSpec,
     ValidationError,
     apply_prior,
@@ -151,3 +152,14 @@ def test_tables_are_immutable():
     t = parse_table("1,2\n3,4")
     with pytest.raises(ValueError):
         t.counts[0, 0] = 9.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("prior", [
+    PriorSpec("haldane"),  # the total overflows
+    PriorSpec("custom", np.full((2, 2), 1.7e308)),  # the cells overflow
+])
+def test_overflowing_total_rejected(prior):
+    t = CountsTable(np.full((2, 2), 1e308))
+    with pytest.raises(NumericPreconditionError, match="total overflows"):
+        apply_prior(t, prior)
