@@ -2,7 +2,9 @@
 
 Two-moment fits (normal, gamma, lognormal) come from closed-form moment
 matching. The four-moment fit modulates a gamma base density with a
-quadratic polynomial and matches all four raw moments by root finding.
+quadratic polynomial and matches all four raw moments by an algebraic
+solve: the real roots of a degree-6 resultant in the base's rate, then a
+2x2 linear system for the polynomial's coefficients.
 Tail probabilities p(I > i*) from the fits are cross-checked against direct
 numerical integration of the fitted density.
 """

@@ -18,7 +18,7 @@ from . import __version__
 from .errors import FitError, NumericPreconditionError, ValidationError
 from .fit import central_to_raw, fit_poly_ansatz, fit_two_moment, survival
 from .mc import mc_estimate
-from .moments import _summarize
+from .moments import summarize
 from .tables import CountsTable, PriorSpec, apply_prior, parse_table
 
 EXIT_OK = 0
@@ -87,33 +87,21 @@ def _build_report(args) -> dict:
     else:
         prior = PriorSpec(args.prior)
     post = apply_prior(table, prior)
-    summary, stats = _summarize(post)
+    summary = summarize(post)
 
-    if args.var_order == "1":
-        var_used, var_order_used = summary.var_o1, 1
-    elif args.var_order == "2":
-        if not post.all_positive:
-            raise NumericPreconditionError(
-                "--var-order 2 requires strictly positive posterior cells; "
-                "zero cells at %s (use a positive prior)" % (post.zero_cells(),)
-            )
+    if args.var_order == "2":
+        post.require_all_positive("--var-order 2")
+    # var_o2 is NaN on zero cells, so "auto" falls back to order 1 there.
+    if args.var_order == "2" or (args.var_order == "auto" and summary.var_o2 > 0):
         var_used, var_order_used = summary.var_o2, 2
     else:
-        if post.all_positive and math.isfinite(summary.var_o2) and summary.var_o2 > 0:
-            var_used, var_order_used = summary.var_o2, 2
-        else:
-            var_used, var_order_used = summary.var_o1, 1
+        var_used, var_order_used = summary.var_o1, 1
 
     fit_block = None
     fit_result = None
     if args.fit != "none":
         if args.fit == "ansatz":
-            if not post.all_positive:
-                raise NumericPreconditionError(
-                    "ansatz fit needs third/fourth moments, which require "
-                    "strictly positive posterior cells; zero cells at %s"
-                    % (post.zero_cells(),)
-                )
+            post.require_all_positive("--fit ansatz")
             raw = central_to_raw(summary.mean_exact, var_used,
                                  summary.central3, summary.central4)
             fit_result = fit_poly_ansatz(*raw, base="gamma",
@@ -156,7 +144,7 @@ def _build_report(args) -> dict:
             "n": post.total,
             "all_positive": post.all_positive,
         },
-        "point_stats": asdict(stats),
+        "point_stats": asdict(post.stats),
         "moments": asdict(summary),
         "var_order_used": var_order_used,
         "variance_used": var_used,

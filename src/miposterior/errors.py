@@ -13,18 +13,15 @@ class NumericPreconditionError(ValueError):
 class ZeroCellError(NumericPreconditionError):
     """A computation that requires strictly positive posterior cells met a zero.
 
-    Carries the offending cell indices so callers can suggest a positive prior.
+    Carries the offending cell indices so callers can suggest a positive prior;
+    `what` names the computation.
     """
 
-    def __init__(self, cells, message=None):
+    def __init__(self, cells, what):
         self.cells = list(cells)
-        if message is None:
-            message = (
-                "posterior has zero cells at %s; use a strictly positive prior "
-                "(jeffreys, perks, uniform) to make this quantity well defined"
-                % (self.cells,)
-            )
-        super().__init__(message)
+        super().__init__(
+            "%s requires strictly positive posterior cells; zero cells at %s "
+            "(consider a positive prior such as jeffreys)" % (what, self.cells))
 
 
 class DegenerateError(NumericPreconditionError):

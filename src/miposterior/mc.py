@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ZeroCellError
+from .errors import ValidationError
 from .moments import i_max as _i_max
 from .tables import PosteriorCounts
 
@@ -42,18 +42,9 @@ class McEstimate:
     hist_counts: np.ndarray
 
 
-def _check_positive(c: PosteriorCounts) -> None:
-    if not c.all_positive:
-        raise ZeroCellError(
-            c.zero_cells(),
-            "Dirichlet sampling requires every cell > 0 (gamma shape must be "
-            "positive); zero cells at %s" % (c.zero_cells(),),
-        )
-
-
 def sample_dirichlet(c: PosteriorCounts, rng: np.random.Generator) -> np.ndarray:
     """One draw from the posterior Dirichlet over the r x s cell probabilities."""
-    _check_positive(c)
+    c.require_all_positive("Dirichlet sampling")
     x = rng.gamma(shape=c.counts)
     return x / x.sum()
 
@@ -114,7 +105,7 @@ def mc_estimate(
     """
     if n_samples < 100:
         raise ValidationError("mc_estimate needs at least 100 samples")
-    _check_positive(c)
+    c.require_all_positive("Dirichlet sampling")
     shapes = c.counts.reshape(-1)
     values = np.empty(n_samples)
     pos = 0

@@ -3,23 +3,22 @@
 All closed forms run in O(r*s): the point statistics J, K, L, M, P, Q are
 single passes over the table, the exact mean is a digamma sum, and the
 variance / third / fourth central-moment expansions combine the point
-statistics with shifted denominators (n+1) and (n+1)(n+2).
+statistics with shifted denominators (n+1) and (n+1)(n+2). A posterior
+computes its point statistics once, as ``PosteriorCounts.stats``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DegenerateError,
-    NumericPreconditionError,
-    ValidationError,
-    ZeroCellError,
-)
-from .tables import PosteriorCounts
+from .errors import DegenerateError, NumericPreconditionError, ValidationError
+
+if TYPE_CHECKING:
+    from .tables import PosteriorCounts
 
 
 def digamma(x):
@@ -69,7 +68,7 @@ class MomentSummary:
 
 def _degenerate(c: PosteriorCounts) -> bool:
     # MI of a constant variable is identically zero.
-    return c.r == 1 or c.s == 1
+    return 1 in c.counts.shape
 
 
 def i_max(c: PosteriorCounts) -> float:
@@ -165,42 +164,15 @@ def mean_exact(c: PosteriorCounts) -> float:
                    "the exact mean")
 
 
-def _mean_o2(c: PosteriorCounts, st: PointStats) -> float:
-    return st.j + (c.r - 1) * (c.s - 1) / (2.0 * (c.total + 1.0))
-
-
 def mean_o2(c: PosteriorCounts) -> float:
     """Second-order mean: J + (r-1)(s-1) / (2(n+1))."""
-    if _degenerate(c):
-        return 0.0
-    return _mean_o2(c, point_stats(c))
-
-
-def _var_o1(c: PosteriorCounts, st: PointStats) -> float:
-    return max(0.0, st.k - st.j**2) / (c.total + 1.0)
+    return c.stats.j + (c.r - 1) * (c.s - 1) / (2.0 * (c.total + 1.0))
 
 
 def var_o1(c: PosteriorCounts) -> float:
     """Leading-order variance (K - J^2) / (n+1)."""
-    if _degenerate(c):
-        return 0.0
-    return _var_o1(c, point_stats(c))
-
-
-def _require_all_positive(c: PosteriorCounts, what: str) -> None:
-    if not c.all_positive:
-        raise ZeroCellError(
-            c.zero_cells(),
-            "%s requires strictly positive posterior cells; zero cells at %s "
-            "(consider a positive prior such as jeffreys)" % (what, c.zero_cells()),
-        )
-
-
-def _var_o2(c: PosteriorCounts, st: PointStats) -> float:
-    _require_all_positive(c, "second-order variance")
-    n = c.total
-    corr = (st.m + (c.r - 1) * (c.s - 1) * (0.5 - st.j) - st.q) / ((n + 1.0) * (n + 2.0))
-    return _var_o1(c, st) + corr
+    st = c.stats
+    return max(0.0, st.k - st.j**2) / (c.total + 1.0)
 
 
 def var_o2(c: PosteriorCounts) -> float:
@@ -211,11 +183,19 @@ def var_o2(c: PosteriorCounts) -> float:
     """
     if _degenerate(c):
         return 0.0
-    return _var_o2(c, point_stats(c))
+    c.require_all_positive("second-order variance")
+    st = c.stats
+    n = c.total
+    corr = (st.m + (c.r - 1) * (c.s - 1) * (0.5 - st.j) - st.q) / ((n + 1.0) * (n + 2.0))
+    return var_o1(c) + corr
 
 
-def _central3(c: PosteriorCounts, st: PointStats) -> float:
-    _require_all_positive(c, "third central moment")
+def central3(c: PosteriorCounts) -> float:
+    """Leading-order third central moment of I."""
+    if _degenerate(c):
+        return 0.0
+    c.require_all_positive("third central moment")
+    st = c.stats
     # Divide by n twice: n**2 raises OverflowError for large Python floats.
     n = c.total
     return _finite((2.0 / n / n) * (2.0 * st.j**3 - 3.0 * st.k * st.j + st.l)
@@ -223,28 +203,16 @@ def _central3(c: PosteriorCounts, st: PointStats) -> float:
                    "the third central moment")
 
 
-def central3(c: PosteriorCounts) -> float:
-    """Leading-order third central moment of I."""
-    if _degenerate(c):
-        return 0.0
-    return _central3(c, point_stats(c))
-
-
-def _central4(c: PosteriorCounts, st: PointStats) -> float:
+def central4(c: PosteriorCounts) -> float:
+    """Leading-order fourth central moment: 3 (K - J^2)^2 / n^2."""
+    st = c.stats
     n = c.total
     return _finite(3.0 * max(0.0, st.k - st.j**2) ** 2 / n / n,
                    "the fourth central moment")
 
 
-def central4(c: PosteriorCounts) -> float:
-    """Leading-order fourth central moment: 3 (K - J^2)^2 / n^2."""
-    if _degenerate(c):
-        return 0.0
-    return _central4(c, point_stats(c))
-
-
-def _skew_kurt(c: PosteriorCounts, st: PointStats) -> tuple[float, float]:
-    v1 = _var_o1(c, st)
+def _shape(n: float, v1: float, v2: float, mu3: float, mu4: float) -> tuple:
+    """Skewness and kurtosis from the series moments (v2, mu3 NaN: zero cells)."""
     if not (v1 > 0):
         # The leading-order moments all vanish together; dividing the
         # (vanishing) third and fourth moments by a purely second-order
@@ -253,29 +221,34 @@ def _skew_kurt(c: PosteriorCounts, st: PointStats) -> tuple[float, float]:
             "zero leading-order variance (the log-ratio is constant on the "
             "table's support); skewness and kurtosis are undefined at this order"
         )
-    if c.all_positive:
-        var = _var_o2(c, st)
-        if not (var > 0):
-            var = v1
-        mu3 = _central3(c, st)
-    else:
-        var = v1
-        mu3 = math.nan
+    if mu4 == 0.0:
+        # mu4 = 3 (n+1)^2 var_o1^2 / n^2 > 0 in exact arithmetic, so a zero
+        # here is underflow and the shape ratios would read a spurious 0.
+        raise DegenerateError(
+            "the third and fourth central moments underflow in double "
+            "precision (n = %.3g); skewness and kurtosis are undefined" % n
+        )
+    var = v2 if v2 > 0 else v1
     # Divide step by step: var**2 can underflow to 0 while the ratio is finite.
-    return mu3 / var / math.sqrt(var), _central4(c, st) / var / var
+    return mu3 / var / math.sqrt(var), mu4 / var / var
 
 
 def skew_kurt(c: PosteriorCounts) -> tuple[float, float]:
     """Skewness and kurtosis of the posterior of I.
 
-    Divides by the best available variance (second order when the table is
-    strictly positive, else leading order). Raises DegenerateError when the
-    leading-order variance vanishes (the log-ratio is constant on the
-    table's support).
+    Divides by the best available variance (second order when it is defined
+    and positive, else leading order). Raises DegenerateError when the
+    leading-order variance vanishes (the log-ratio is constant on the table's
+    support) or the fourth central moment underflows (n above about 1e160).
     """
     if _degenerate(c):
         raise DegenerateError("constant variable: I is identically 0")
-    return _skew_kurt(c, point_stats(c))
+    v1 = var_o1(c)
+    if c.all_positive and v1 > 0:
+        return _shape(c.total, v1, var_o2(c), central3(c), central4(c))
+    # Zero cells, or a zero v1 that _shape rejects before reading mu3, which
+    # overflows on tiny n.
+    return _shape(c.total, v1, math.nan, math.nan, central4(c))
 
 
 def dirichlet_covariance(c: PosteriorCounts) -> np.ndarray:
@@ -328,28 +301,23 @@ def summarize(c: PosteriorCounts) -> MomentSummary:
     ``validity_warning`` (negative second-order variance),
     ``shape_degenerate`` (zero leading-order variance) and ``shape_underflow``
     (the third and fourth central moments underflow, for n above about
-    1e160). The last two leave skewness and kurtosis NaN.
+    1e160). The last two carry skew_kurt's message and leave skewness and
+    kurtosis NaN.
     """
-    return _summarize(c)[0]
-
-
-def _summarize(c: PosteriorCounts) -> tuple[MomentSummary, PointStats]:
-    """summarize() and the point statistics it was computed from."""
     flags: dict = {}
     im = i_max(c)
     ratio = c.r * c.s / c.total
-    st = point_stats(c)
     if _degenerate(c):
         flags["constant_variable"] = True
         return MomentSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan, math.nan,
-                             im, ratio, flags), st
+                             im, ratio, flags)
+    mo2 = mean_o2(c)
     me = mean_exact(c)
-    mo2 = _mean_o2(c, st)
-    v1 = _var_o1(c, st)
-    mu4 = _central4(c, st)
+    v1 = var_o1(c)
+    mu4 = central4(c)
     if c.all_positive:
-        v2 = _var_o2(c, st)
-        mu3 = _central3(c, st)
+        v2 = var_o2(c)
+        mu3 = central3(c)
         if v2 < 0:
             flags["validity_warning"] = (
                 "second-order variance is negative: rs/n = %.3g is outside "
@@ -357,20 +325,10 @@ def _summarize(c: PosteriorCounts) -> tuple[MomentSummary, PointStats]:
             )
     else:
         flags["zero_cells"] = c.zero_cells()
-        v2 = math.nan
-        mu3 = math.nan
-    if v1 > 0 and mu4 == 0.0:
-        # mu4 = 3 (n+1)^2 var_o1^2 / n^2 > 0 in exact arithmetic, so a zero
-        # here is underflow and the shape ratios would read a spurious 0.
-        flags["shape_underflow"] = (
-            "the third and fourth central moments underflow in double "
-            "precision (n = %.3g); skewness and kurtosis are undefined" % c.total
-        )
+        v2 = mu3 = math.nan
+    try:
+        skew, kurt = _shape(c.total, v1, v2, mu3, mu4)
+    except DegenerateError as exc:
+        flags["shape_underflow" if v1 > 0 else "shape_degenerate"] = str(exc)
         skew = kurt = math.nan
-    else:
-        try:
-            skew, kurt = _skew_kurt(c, st)
-        except DegenerateError as exc:
-            flags["shape_degenerate"] = str(exc)
-            skew = kurt = math.nan
-    return MomentSummary(me, mo2, v1, v2, mu3, mu4, skew, kurt, im, ratio, flags), st
+    return MomentSummary(me, mo2, v1, v2, mu3, mu4, skew, kurt, im, ratio, flags)

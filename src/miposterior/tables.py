@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericPreconditionError, ValidationError
+from . import moments
+from .errors import NumericPreconditionError, ValidationError, ZeroCellError
 
 #: pseudo-count per cell for the named non-informative priors; perks is 1/(r*s)
 NAMED_PRIORS = ("haldane", "perks", "jeffreys", "uniform")
@@ -101,7 +102,8 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class PosteriorCounts:
-    """Dirichlet posterior parameters n_ij with cached marginals and total."""
+    """Dirichlet posterior parameters n_ij with cached marginals, total and
+    point statistics; apply_prior makes the arrays read-only."""
 
     counts: np.ndarray
     row_sums: np.ndarray
@@ -117,8 +119,26 @@ class PosteriorCounts:
     def s(self) -> int:
         return self.counts.shape[1]
 
+    @property
+    def stats(self) -> moments.PointStats:
+        """moments.point_stats(self), computed on first use and kept."""
+        # Not functools.cached_property: it writes the instance __dict__, which
+        # on CPython 3.11 slows every later attribute read (about 3 us per
+        # summarize of a small table).
+        st = getattr(self, "_stats", None)
+        if st is None:
+            st = moments.point_stats(self)
+            object.__setattr__(self, "_stats", st)
+        return st
+
     def zero_cells(self) -> list[tuple[int, int]]:
         return [(int(i), int(j)) for i, j in np.argwhere(self.counts == 0)]
+
+    def require_all_positive(self, what: str) -> None:
+        """Raise ZeroCellError naming the zero cells, if there are any; `what`
+        names the computation that needs every cell positive."""
+        if not self.all_positive:
+            raise ZeroCellError(self.zero_cells(), what)
 
 
 def apply_prior(table: CountsTable, prior: PriorSpec) -> PosteriorCounts:
@@ -136,6 +156,8 @@ def apply_prior(table: CountsTable, prior: PriorSpec) -> PosteriorCounts:
         total = float(n.sum())
         row_sums = n.sum(axis=1)
         col_sums = n.sum(axis=0)
+    row_sums.setflags(write=False)
+    col_sums.setflags(write=False)
     if not math.isfinite(total):
         raise NumericPreconditionError(
             "the posterior total overflows double precision; the counts are "

@@ -259,3 +259,16 @@ def test_ansatz_report_leaves_optimize_unloaded(table_csv):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--fit", "ansatz"],
+    ["--fit", "none", "--mc", "1000"],
+])
+def test_zero_cell_ansatz_and_mc_exit_3(capsys, zero_cell_csv, extra):
+    code, out, err = run(capsys, ["--input", zero_cell_csv, "--prior", "haldane",
+                                  *extra])
+    assert code == 3
+    assert out == ""
+    assert "(0, 1)" in err
+    assert "Traceback" not in err

@@ -438,3 +438,38 @@ class TestKernelRegression:
                            - psi1[i] - psi1[r + j] + psi1[-1])
                     for (i, j), nij in np.ndenumerate(c.counts)) / c.total
                 assert mean_exact(c) == pytest.approx(float(exact), rel=1e-12)
+
+
+class TestCachedPointStats:
+    def test_skew_kurt_raises_on_shape_underflow(self):
+        # var_o1 is about 2e-172, so the fourth central moment underflows to
+        # 0 and the shape ratios would read a spurious 0.
+        c = posterior([[3e170, 1e170], [1e170, 2e170]])
+        with pytest.raises(DegenerateError, match="underflow") as ei:
+            skew_kurt(c)
+        assert summarize(c).flags["shape_underflow"] == str(ei.value)
+
+    def test_one_point_stats_pass_per_posterior(self, monkeypatch):
+        from miposterior import moments
+
+        original = moments.point_stats
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return original(c)
+
+        monkeypatch.setattr(moments, "point_stats", counted)
+        c = posterior([[8, 2, 1], [2, 8, 3]], "jeffreys")
+        s = summarize(c)
+        assert (mean_o2(c), var_o1(c), var_o2(c), central3(c), central4(c),
+                skew_kurt(c)) == (s.mean_o2, s.var_o1, s.var_o2, s.central3,
+                                  s.central4, (s.skewness, s.kurtosis))
+        assert len(calls) == 1
+        assert c.stats is c.stats
+
+    def test_constant_variable_with_zero_cells(self):
+        # I is identically 0 on a 1xN table, zero cells or not.
+        c = posterior([[1, 0, 3]])
+        assert (mean_o2(c), var_o1(c), var_o2(c), central3(c), central4(c)) == (
+            0.0, 0.0, 0.0, 0.0, 0.0)

@@ -163,3 +163,22 @@ def test_overflowing_total_rejected(prior):
     t = CountsTable(np.full((2, 2), 1e308))
     with pytest.raises(NumericPreconditionError, match="total overflows"):
         apply_prior(t, prior)
+
+
+def test_posterior_arrays_are_read_only():
+    # The point statistics are cached on the posterior, so none of the arrays
+    # they are computed from may change afterwards.
+    c = apply_prior(parse_table("1,2\n3,4"), PriorSpec("jeffreys"))
+    for arr in (c.counts, c.row_sums, c.col_sums):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+
+
+def test_require_all_positive_names_cells():
+    from miposterior import ZeroCellError
+
+    apply_prior(parse_table("5,1\n1,5"), PriorSpec("haldane")).require_all_positive("x")
+    c = apply_prior(parse_table("5,0\n0,5"), PriorSpec("haldane"))
+    with pytest.raises(ZeroCellError, match=r"^x requires .*\(0, 1\), \(1, 0\)") as ei:
+        c.require_all_positive("x")
+    assert ei.value.cells == [(0, 1), (1, 0)]
