@@ -85,6 +85,18 @@ def test_bad_table_exit_2(capsys, tmp_path):
     assert "ragged" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[[true, 1], [2, 3]]", "got true at cell (0, 0)"),
+    ("[[1, 2], [3, 1%s]]" % ("0" * 400), "non-finite entry at cell (1, 1)"),
+], ids=["bool", "huge_int"])
+def test_bad_json_entry_exit_2(capsys, tmp_path, text, message):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out, err = run(capsys, ["--input", str(p), "--input-format", "json"])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_unknown_flag_exit_64(capsys, table_csv):
     with pytest.raises(SystemExit) as ei:
         main(["--input", table_csv, "--frobnicate"])

@@ -1,15 +1,22 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
 
 from miposterior import (
     CountsTable,
     NumericPreconditionError,
+    PosteriorCounts,
     PriorSpec,
     ValidationError,
     apply_prior,
     parse_table,
+    point_stats,
     serialize_table,
 )
+from miposterior import tables
+from miposterior.tables import _raise_bad_cell
 
 
 def test_parse_csv():
@@ -182,3 +189,145 @@ def test_require_all_positive_names_cells():
     with pytest.raises(ZeroCellError, match=r"^x requires .*\(0, 1\), \(1, 0\)") as ei:
         c.require_all_positive("x")
     assert ei.value.cells == [(0, 1), (1, 0)]
+
+
+def test_posterior_counts_keeps_no_writable_caller_array():
+    # Built with its own constructor, the posterior must not share a writable
+    # array with the caller, or its cached statistics go stale.
+    n = np.array([[8.0, 2.0], [2.0, 8.0]])
+    c = PosteriorCounts(n, n.sum(1), n.sum(0), 20.0, True)
+    j = c.stats.j
+    n[0, 1] = 8.0
+    assert c.stats.j == j == point_stats(c).j
+    for arr in (c.counts, c.row_sums, c.col_sums):
+        assert not arr.flags.writeable
+
+
+def test_posterior_counts_keeps_read_only_arrays_as_given():
+    c = apply_prior(parse_table("1,2\n3,4"), PriorSpec("jeffreys"))
+    again = PosteriorCounts(c.counts, c.row_sums, c.col_sums, c.total, True)
+    assert again.counts is c.counts
+    assert again.row_sums is c.row_sums and again.col_sums is c.col_sums
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[[true, 1], [2, 3]]", "json table entries must be numbers; got true at cell (0, 0)"),
+    ('[[1, 2], [3, "4"]]', 'json table entries must be numbers; got "4" at cell (1, 1)'),
+    ('[["3", "4"], [1, 2]]', 'json table entries must be numbers; got "3" at cell (0, 0)'),
+    ("[[1, null], [2, 3]]", "json table entries must be numbers; got null at cell (0, 1)"),
+    ("[[1, [2]], [3, 4]]", "json table entries must be numbers; got [2] at cell (0, 1)"),
+    ("[[1, 1e999], [2, 3]]", "non-finite entry at cell (0, 1)"),
+    ("[[1, 2], [1%s, 3]]" % ("0" * 400), "non-finite entry at cell (1, 0)"),
+], ids=["bool", "string", "strings", "null", "array", "inf", "huge_int"])
+def test_parse_json_rejects_non_numbers(text, message):
+    with pytest.raises(ValidationError) as ei:
+        parse_table(text, "json")
+    assert str(ei.value) == message
+
+
+def _reference_parse(text: str, fmt: str) -> CountsTable:
+    """The csv/tsv parser before the C tokenizer: float() on every cell."""
+    sep = "," if fmt == "csv" else "\t"
+    rows = [line.split(sep) for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise ValidationError("empty table")
+    try:
+        grid = np.array(rows, dtype=float)
+    except ValueError:
+        _raise_bad_cell(rows)
+        raise
+    return CountsTable(grid)
+
+
+def _parse_outcome(parse, text, fmt):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = parse(text, fmt).counts
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "grid", grid.shape, grid.tobytes()
+
+
+class TestParseParity:
+    """parse_table reads csv and tsv through numpy's C tokenizer; it must
+    return the grid, bit for bit, or the error message of the per-cell
+    float() parser it replaced."""
+
+    @pytest.fixture(autouse=True)
+    def _tokenize_short_text(self, monkeypatch):
+        # Short text is parsed cell by cell; send every text through the
+        # tokenizer, however short, so these cases test it.
+        monkeypatch.setattr(tables, "_LOADTXT_MIN_CHARS", 0)
+
+    # Cell fragments for the token soup: separators, line ends (CRLF, \x0c
+    # and \x1c split lines), literals only float() reads (1_000, full-width
+    # and Arabic-Indic digits), literals neither reads (0x10, 1e, quotes,
+    # comments), non-finite literals, and whitespace that float() strips
+    # (\xa0) or rejects (\x1f).
+    ATOMS = (
+        "0", "1", "-0", "7", "12", "+3", "-1", "1.5", ".5", "5.", "1e5",
+        "1e308", "1e400", "1e-400", "%.17g" % 0.1, "1_000", "nan", "inf",
+        "-inf", "Infinity", "0x10", "1e", "e", ".", "_", "a", "-", "+",
+        "#", "#1", '"1"', "'2'", " ", "  ", "\t", "\r", "\n", "\r\n",
+        "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000", "\x00",
+        "\u0661", "\uff11", ",", ",", ",", "\t", "\t", "\n", "\n",
+    )
+
+    def _assert_same(self, text, fmt):
+        got = _parse_outcome(parse_table, text, fmt)
+        want = _parse_outcome(_reference_parse, text, fmt)
+        assert got == want, (text, fmt)
+
+    def test_tables(self):
+        rng = random.Random(2001)
+        for _ in range(400):
+            r, s = rng.choice((1, rng.randint(1, 7))), rng.choice((1, rng.randint(1, 7)))
+            cells = [[rng.choice(("%d" % rng.randint(0, 10 ** rng.randint(0, 18)),
+                                  "%.17g" % (rng.random() * 10.0 ** rng.randint(-8, 30))))
+                      for _ in range(s)] for _ in range(r)]
+            for fmt, sep in (("csv", ","), ("tsv", "\t")):
+                pad = (" ", "  ", "\xa0") if fmt == "tsv" else (" ", "\t", "\xa0")
+                lines = []
+                for row in cells:
+                    lines.append(sep.join(
+                        rng.choice(("",) * 4 + pad) + c + rng.choice(("",) * 4 + pad)
+                        for c in row))
+                    if rng.random() < 0.2:
+                        lines.append(rng.choice(("", " ", "\t", "\x0c")))
+                    if rng.random() < 0.05:
+                        lines[-1] += rng.choice((sep, "#", "\x0c", "\x1f", "\x85"))
+                text = rng.choice(("\n", "\r\n")).join(lines)
+                self._assert_same(text + rng.choice(("", "\n", "\r\n")), fmt)
+
+    def test_token_soup(self):
+        rng = random.Random(2002)
+        for _ in range(4000):
+            text = "".join(rng.choice(self.ATOMS) for _ in range(rng.randint(1, 14)))
+            for fmt in ("csv", "tsv"):
+                self._assert_same(text, fmt)
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4", "5", "1,2,3", "1\n2\n3", "1,2,\n3,4,", "#1,2\n3,4",
+        '"1",2\n3,4', "1_000,2\n3,4", "nan,1\n2,3", " 1 , 2 \r\n\r\n 3 , 4 \r\n",
+        "1,2\x0c3,4", "1\x1f,2\n3,4", "\x1f1,2\n3,4", "1\t2\n3\t4",
+    ])
+    def test_named_cases(self, text):
+        for fmt in ("csv", "tsv"):
+            self._assert_same(text, fmt)
+
+    def test_large_tables_at_default_threshold(self, monkeypatch):
+        monkeypatch.undo()
+        assert tables._LOADTXT_MIN_CHARS > 0
+        rng = np.random.default_rng(2003)
+        grid = rng.poisson(50.0, size=(30, 30)).astype(float)
+        grid[::3] *= rng.uniform(0.5, 2.0, size=(10, 30))
+        cells = [["%.17g" % v for v in row] for row in grid]
+        for edit in (None, (4, 7, "1_000"), (29, 0, " nan"), (12, 3, "#1")):
+            rows = [list(row) for row in cells]
+            if edit:
+                rows[edit[0]][edit[1]] = edit[2]
+            for fmt, sep in (("csv", ","), ("tsv", "\t")):
+                text = "\n".join(sep.join(row) for row in rows) + "\n\n"
+                assert len(text) >= tables._LOADTXT_MIN_CHARS
+                self._assert_same(text, fmt)
