@@ -46,6 +46,7 @@ from .tables import (
     PosteriorCounts,
     PriorSpec,
     apply_prior,
+    parse_grid,
     parse_table,
     serialize_table,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "mean_exact",
     "mean_o2",
     "mean_var_from_cov",
+    "parse_grid",
     "parse_table",
     "point_mi",
     "point_stats",

@@ -19,7 +19,7 @@ from .errors import FitError, NumericPreconditionError, ValidationError
 from .fit import central_to_raw, fit_poly_ansatz, fit_two_moment, survival
 from .mc import mc_estimate
 from .moments import summarize
-from .tables import CountsTable, PriorSpec, apply_prior, parse_table
+from .tables import PriorSpec, apply_prior, parse_grid, parse_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -82,8 +82,7 @@ def _build_report(args) -> dict:
         if args.prior_matrix is None:
             raise ValidationError("--prior custom requires --prior-matrix")
         with open(args.prior_matrix, "r", encoding="utf-8") as fh:
-            matrix = parse_table(fh.read(), args.input_format).counts
-        prior = PriorSpec("custom", matrix)
+            prior = PriorSpec("custom", parse_grid(fh.read(), args.input_format))
     else:
         prior = PriorSpec(args.prior)
     post = apply_prior(table, prior)

@@ -25,11 +25,11 @@ class ZeroCellError(NumericPreconditionError):
 
 
 class DegenerateError(NumericPreconditionError):
-    """Leading-order variance is zero, so scale-free shape statistics are undefined."""
+    """Shape statistics are undefined: zero leading-order variance or mu4 underflow."""
 
 
 class FitError(RuntimeError):
-    """Moment-matching solver failed to converge; carries the best residual seen."""
+    """Four-moment fit: no root meets the residual contract; carries the best residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -413,8 +413,14 @@ def survival(f: FitResult, i_star: float) -> float:
             shape, scale = p["base_shape"], p["base_scale"]
             g = _gamma_raw(shape, scale, 2)
             t = [g[k] * float(gammaincc(shape + k, i_star / scale)) for k in range(3)]
-            return (t[0] + b * t[1] + c * t[2]) / z
-        return survival_quad(f, i_star)
+        else:
+            # T_k = mu T_(k-1) + (k-1) s2 T_(k-2) + s2 i*^(k-1) p0(i*), by parts.
+            mu, s2 = p["mu"], p["sigma2"]
+            edge = math.exp(-0.5 * (i_star - mu) ** 2 / s2) * math.sqrt(0.5 * s2 / math.pi)
+            t = [0.5 * math.erfc((i_star - mu) / math.sqrt(2.0 * s2))]
+            t.append(mu * t[0] + edge)
+            t.append(mu * t[1] + s2 * t[0] + i_star * edge)
+        return (t[0] + b * t[1] + c * t[2]) / z
     raise ValidationError("unknown family %r" % f.family)
 
 

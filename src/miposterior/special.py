@@ -5,13 +5,12 @@ large enough for the asymptotic series
     psi(x) = log x - 1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6)
              + 1/(240x^8) - 1/(132x^10) + ...
 Integer and half-integer arguments have closed forms in terms of harmonic
-sums, served from a lazily built lookup table.
+sums, served up to 512 from lookup tables built when the module is imported.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -27,9 +26,13 @@ _BERN = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
          -691.0 / 32760.0)
 
 _TABLE_MAX = 512
-_table_lock = threading.Lock()
-_int_table: np.ndarray | None = None
-_half_table: np.ndarray | None = None
+# psi(m) and psi(m + 1/2) for m = 0.._TABLE_MAX (psi(0) is NaN), summed from
+# psi(1) and psi(1/2) in order of m: np.cumsum adds sequentially.
+_k = np.arange(1.0, _TABLE_MAX + 1)
+_INT_TABLE = np.concatenate(([np.nan], np.cumsum(np.append(-EULER_GAMMA, 1.0 / _k[:-1]))))
+_HALF_TABLE = np.cumsum(np.append(-EULER_GAMMA - 2.0 * _LOG2, 2.0 / (2.0 * _k - 1.0)))
+_INT_TABLE.setflags(write=False)
+_HALF_TABLE.setflags(write=False)
 
 
 def digamma(x: float) -> float:
@@ -56,7 +59,7 @@ def digamma_integer(m: int) -> float:
         raise ValueError("digamma_integer requires an integer m >= 1, got %r" % (m,))
     m = int(m)
     if m <= _TABLE_MAX:
-        return float(_integer_table()[m])
+        return float(_INT_TABLE[m])
     # Partial harmonic sum, small-to-large for accuracy.
     h = math.fsum(1.0 / k for k in range(m - 1, 0, -1))
     return h - EULER_GAMMA
@@ -72,7 +75,7 @@ def digamma_half_integer(m: int) -> float:
         raise ValueError("digamma_half_integer requires an integer m >= 0, got %r" % (m,))
     m = int(m)
     if m <= _TABLE_MAX:
-        return float(_half_integer_table()[m])
+        return float(_HALF_TABLE[m])
     h = math.fsum(1.0 / (2 * k - 1) for k in range(m, 0, -1))
     return 2.0 * h - EULER_GAMMA - 2.0 * _LOG2
 
@@ -86,36 +89,3 @@ def psi(x: float) -> float:
         if x - f == 0.5:
             return digamma_half_integer(int(f))
     return digamma(x)
-
-
-def _integer_table() -> np.ndarray:
-    global _int_table
-    if _int_table is None:
-        with _table_lock:
-            if _int_table is None:
-                t = np.empty(_TABLE_MAX + 1)
-                t[0] = np.nan
-                acc = -EULER_GAMMA
-                t[1] = acc
-                for k in range(1, _TABLE_MAX):
-                    acc += 1.0 / k
-                    t[k + 1] = acc
-                t.setflags(write=False)
-                _int_table = t
-    return _int_table
-
-
-def _half_integer_table() -> np.ndarray:
-    global _half_table
-    if _half_table is None:
-        with _table_lock:
-            if _half_table is None:
-                t = np.empty(_TABLE_MAX + 1)
-                acc = -EULER_GAMMA - 2.0 * _LOG2
-                t[0] = acc
-                for k in range(1, _TABLE_MAX + 1):
-                    acc += 2.0 / (2 * k - 1)
-                    t[k] = acc
-                t.setflags(write=False)
-                _half_table = t
-    return _half_table

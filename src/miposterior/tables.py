@@ -27,6 +27,15 @@ _FMT = "%.17g"
 _LOADTXT_MIN_CHARS = 512
 
 
+def _read_only(a) -> np.ndarray:
+    """a as a read-only float array; a writable one (the caller's) is copied."""
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class CountsTable:
     """An r x s grid of observed co-occurrence counts."""
@@ -34,7 +43,8 @@ class CountsTable:
     counts: np.ndarray  # shape (r, s), non-negative floats
 
     def __post_init__(self):
-        a = np.asarray(self.counts, dtype=float)
+        a = _read_only(self.counts)
+        object.__setattr__(self, "counts", a)
         if a.ndim != 2 or a.size == 0:
             raise ValidationError("table must be a non-empty 2-d grid")
         if not np.all(np.isfinite(a)):
@@ -45,8 +55,6 @@ class CountsTable:
             raise ValidationError("negative entry at cell (%d, %d)" % tuple(bad))
         if not np.any(a > 0):
             raise ValidationError("all-zero table: at least one count must be positive")
-        a.setflags(write=False)
-        object.__setattr__(self, "counts", a)
 
     @property
     def r(self) -> int:
@@ -72,13 +80,12 @@ class PriorSpec:
         if self.kind == "custom":
             if self.matrix is None:
                 raise ValidationError("custom prior requires a pseudo-count matrix")
-            m = np.asarray(self.matrix, dtype=float)
+            m = _read_only(self.matrix)
+            object.__setattr__(self, "matrix", m)
             if m.ndim != 2:
                 raise ValidationError("custom prior matrix must be 2-d")
             if np.any(~np.isfinite(m)) or np.any(m < 0):
                 raise ValidationError("custom prior entries must be finite and >= 0")
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
         elif self.kind not in NAMED_PRIORS:
             raise ValidationError(
                 "unknown prior %r; expected one of %s or custom"
@@ -110,9 +117,8 @@ class PosteriorCounts:
     """Dirichlet posterior parameters n_ij with cached marginals, total and
     point statistics.
 
-    The arrays are read-only, so the cached statistics cannot go stale: the
-    constructor keeps a read-only array as given and stores a read-only copy
-    of a writable one. apply_prior passes read-only arrays, so it copies
+    The arrays are read-only (see _read_only), so the cached statistics
+    cannot go stale; apply_prior passes read-only arrays, so it copies
     nothing. The marginals and total are taken as given, not checked against
     the counts.
     """
@@ -125,11 +131,7 @@ class PosteriorCounts:
 
     def __post_init__(self):
         for name in ("counts", "row_sums", "col_sums"):
-            a = getattr(self, name)
-            if a.flags.writeable:
-                a = a.copy()
-                a.setflags(write=False)
-                object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def r(self) -> int:
@@ -171,7 +173,6 @@ def apply_prior(table: CountsTable, prior: PriorSpec) -> PosteriorCounts:
     # all overflow; numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore"):
         n = table.counts if prior.kind == "haldane" else table.counts + pseudo
-        n = np.asarray(n, dtype=float)
         n.setflags(write=False)
         total = float(n.sum())
         row_sums = n.sum(axis=1)
@@ -196,6 +197,11 @@ def apply_prior(table: CountsTable, prior: PriorSpec) -> PosteriorCounts:
 
 def parse_table(text: str, fmt: str = "csv") -> CountsTable:
     """Parse a contingency table from csv, tsv, or json text."""
+    return CountsTable(parse_grid(text, fmt))
+
+
+def parse_grid(text: str, fmt: str = "csv") -> np.ndarray:
+    """Parse a read-only float grid from csv, tsv, or json text; all-zero grids pass."""
     if fmt in ("csv", "tsv"):
         grid = _delimited_grid(text, "," if fmt == "csv" else "\t")
     elif fmt == "json":
@@ -212,7 +218,8 @@ def parse_table(text: str, fmt: str = "csv") -> CountsTable:
         grid = np.array(data, dtype=float)
     else:
         raise ValidationError("unknown format %r; expected csv, tsv, or json" % fmt)
-    return CountsTable(grid)
+    grid.setflags(write=False)  # the callers keep it without a copy
+    return grid
 
 
 def _delimited_grid(text: str, sep: str) -> np.ndarray:

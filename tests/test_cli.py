@@ -130,6 +130,17 @@ def test_custom_prior(capsys, table_csv, tmp_path):
     assert report["input"]["n"] == 22.0
 
 
+def test_all_zero_custom_prior_is_haldane(capsys, table_csv, tmp_path):
+    pm = tmp_path / "prior.csv"
+    pm.write_text("0,0\n0,0\n")
+    code, out, _ = run(capsys, ["--input", table_csv, "--prior", "custom",
+                                "--prior-matrix", str(pm)])
+    assert code == 0
+    code, ref, _ = run(capsys, ["--input", table_csv, "--prior", "haldane"])
+    assert code == 0
+    assert json.loads(out)["moments"] == json.loads(ref)["moments"]
+
+
 def test_ansatz_fit(capsys, table_csv):
     code, out, _ = run(capsys, ["--input", table_csv, "--prior", "haldane",
                                 "--fit", "ansatz", "--quantile", "0.2"])

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,6 +230,37 @@ class TestPolyAnsatz:
 
 
 class TestSurvival:
+    def test_normal_base_tail_matches_quadrature_on_sweep(self):
+        # The tables of test_sweep_contract_and_root_rule, normal base.
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(24):
+            r, s = rng.integers(2, 6, size=2)
+            per_cell = 5.0 * 32.0 ** rng.uniform()
+            p = rng.dirichlet(np.ones(r * s))
+            rows = rng.multinomial(round(per_cell * r * s), p).reshape(r, s)
+            raw, hi = cli_moments(rows)
+            try:
+                f = fit_poly_ansatz(*raw, base="normal", support_max=hi)
+            except FitError:
+                continue
+            checked += 1
+            for t in (0.5 * raw[0], raw[0], 2.0 * raw[0]):
+                assert survival(f, t) == pytest.approx(survival_quad(f, t), abs=1e-8)
+        assert checked >= 20
+
+    def test_normal_base_tail_loads_no_quadrature(self):
+        code = (
+            "import sys\n"
+            "from miposterior import central_to_raw, fit_poly_ansatz, survival\n"
+            "raw = central_to_raw(0.2165, 0.0129, 1.03e-3, 7.1e-4)\n"
+            "f = fit_poly_ansatz(*raw, base='normal')\n"
+            "p = [survival(f, t) for t in (0.0, 0.1, 0.2165, 0.5)]\n"
+            "assert all(0.0 <= v <= 1.0 for v in p), p\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
     def test_exponential_tail(self):
         f = fit_two_moment(1.0, 1.0, "gamma")
         assert survival(f, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from miposterior import EULER_GAMMA, digamma, digamma_half_integer, digamma_integer, psi
+from miposterior import special
 
 LOG2 = math.log(2.0)
 
@@ -98,3 +99,27 @@ def test_domain_errors():
         digamma_integer(0)
     with pytest.raises(ValueError):
         digamma_half_integer(-1)
+
+
+def test_tables_match_sequential_sums():
+    # The lookup tables, summed one term at a time from psi(1) and psi(1/2).
+    top = special._TABLE_MAX
+    ints = np.empty(top + 1)
+    ints[0] = np.nan
+    acc = -EULER_GAMMA
+    ints[1] = acc
+    for k in range(1, top):
+        acc += 1.0 / k
+        ints[k + 1] = acc
+    halves = np.empty(top + 1)
+    acc = -EULER_GAMMA - 2.0 * LOG2
+    halves[0] = acc
+    for k in range(1, top + 1):
+        acc += 2.0 / (2 * k - 1)
+        halves[k] = acc
+    for got, want in ((special._INT_TABLE, ints), (special._HALF_TABLE, halves)):
+        assert got.shape == (top + 1,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert not got.flags.writeable
+    assert [digamma_integer(m) for m in range(1, top + 1)] == ints[1:].tolist()
+    assert [digamma_half_integer(m) for m in range(top + 1)] == halves.tolist()

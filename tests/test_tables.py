@@ -11,6 +11,7 @@ from miposterior import (
     PriorSpec,
     ValidationError,
     apply_prior,
+    parse_grid,
     parse_table,
     point_stats,
     serialize_table,
@@ -208,6 +209,36 @@ def test_posterior_counts_keeps_read_only_arrays_as_given():
     again = PosteriorCounts(c.counts, c.row_sums, c.col_sums, c.total, True)
     assert again.counts is c.counts
     assert again.row_sums is c.row_sums and again.col_sums is c.col_sums
+
+
+def test_counts_table_leaves_caller_array_writable():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    t = CountsTable(a)
+    a[0, 0] = 5.0
+    assert t.counts[0, 0] == 1.0
+    assert not t.counts.flags.writeable
+
+
+def test_custom_prior_leaves_caller_array_writable():
+    m = np.array([[0.1, 0.2], [0.3, 0.4]])
+    prior = PriorSpec("custom", m)
+    m[0, 0] = 5.0
+    assert prior.matrix[0, 0] == 0.1
+    assert not prior.matrix.flags.writeable
+
+
+def test_parsed_grid_is_kept_without_a_copy():
+    grid = parse_grid("1,2\n3,4")
+    assert not grid.flags.writeable
+    assert CountsTable(grid).counts is grid
+    assert PriorSpec("custom", grid).matrix is grid
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", "0,0\n0,0"), ("json", "[[0, 0], [0, 0]]")])
+def test_parse_grid_accepts_all_zero(fmt, text):
+    assert np.array_equal(parse_grid(text, fmt), np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="all-zero"):
+        parse_table(text, fmt)
 
 
 @pytest.mark.parametrize("text, message", [
