@@ -75,14 +75,21 @@ def _clean(obj):
     return obj
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("%s is not UTF-8 text (%s)" % (path, exc)) from None
+
+
 def _build_report(args) -> dict:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        table = parse_table(fh.read(), args.input_format)
+    table = parse_table(_read_text(args.input), args.input_format)
     if args.prior == "custom":
         if args.prior_matrix is None:
             raise ValidationError("--prior custom requires --prior-matrix")
-        with open(args.prior_matrix, "r", encoding="utf-8") as fh:
-            prior = PriorSpec("custom", parse_grid(fh.read(), args.input_format))
+        prior = PriorSpec("custom", parse_grid(_read_text(args.prior_matrix),
+                                               args.input_format))
     else:
         prior = PriorSpec(args.prior)
     post = apply_prior(table, prior)
@@ -101,19 +108,20 @@ def _build_report(args) -> dict:
     if args.fit != "none":
         if args.fit == "ansatz":
             post.require_all_positive("--fit ansatz")
+        if not var_used > 0:
+            raise NumericPreconditionError(
+                "fit requires positive variance; zero leading-order "
+                "variance (the log-ratio is constant on the table's support)"
+                if var_order_used == 1 else
+                "fit requires positive variance; the second-order variance "
+                "is %r" % var_used
+            )
+        if args.fit == "ansatz":
             raw = central_to_raw(summary.mean_exact, var_used,
                                  summary.central3, summary.central4)
             fit_result = fit_poly_ansatz(*raw, base="gamma",
                                          support_max=summary.i_max * 1.05)
         else:
-            if not var_used > 0:
-                raise NumericPreconditionError(
-                    "fit requires positive variance; zero leading-order "
-                    "variance (the log-ratio is constant on the table's support)"
-                    if var_order_used == 1 else
-                    "fit requires positive variance; the second-order variance "
-                    "is %r" % var_used
-                )
             fit_result = fit_two_moment(summary.mean_exact, var_used, args.fit)
         fit_block = asdict(fit_result)
 

@@ -49,23 +49,35 @@ def central_to_raw(mean: float, var: float, mu3: float, mu4: float) -> tuple:
     return m1, m2, m3, m4
 
 
-def _normal_raw(mu: float, s2: float, kmax: int) -> list[float]:
-    # m_k = mu m_{k-1} + (k-1) s2 m_{k-2}
-    g = [1.0, mu]
-    for k in range(2, kmax + 1):
-        g.append(mu * g[k - 1] + (k - 1) * s2 * g[k - 2])
-    return g
+def _tails(base: str, mu: float, s2: float, kmax: int, t: float | None = None) -> list:
+    """[T_0, ..., T_kmax], T_k = int_t^inf x^k p0(x) dx for the normal or gamma
+    density p0 with mean mu and variance s2; without t, the raw moments.
 
-
-def _gamma_raw(shape: float, scale: float, kmax: int) -> list[float]:
-    g = [1.0]
+    Gamma: T_k = E0[x^k] Q(shape + k, t / scale). Normal, by parts:
+    T_k = mu T_(k-1) + (k-1) s2 T_(k-2) + t^(k-1) s2 p0(t); the last term is
+    skipped where s2 p0(t) is 0, so far-out and infinite t give 0.0.
+    """
+    if base == "gamma":
+        shape, scale = mu * mu / s2, s2 / mu
+        out = [1.0]
+        for k in range(1, kmax + 1):
+            out.append(out[-1] * (shape + k - 1) * scale)
+        if t is None:
+            return out
+        return [g * float(gammaincc(shape + k, t / scale)) for k, g in enumerate(out)]
+    out, edge = [1.0], 0.0
+    if t is not None:
+        d = t - mu  # d * d overflows to inf where d ** 2 would raise
+        out = [0.5 * math.erfc(d / math.sqrt(2.0 * s2))]
+        edge = math.exp(-0.5 * d * d / s2) * math.sqrt(0.5 * s2 / math.pi)
     for k in range(1, kmax + 1):
-        g.append(g[-1] * (shape + k - 1) * scale)
-    return g
-
-
-def _lognormal_raw(lmean: float, lvar: float, kmax: int) -> list[float]:
-    return [math.exp(k * lmean + 0.5 * k * k * lvar) for k in range(kmax + 1)]
+        tk = mu * out[k - 1]
+        if k > 1:
+            tk += (k - 1) * s2 * out[k - 2]
+        if edge:
+            tk += t ** (k - 1) * edge
+        out.append(tk)
+    return out
 
 
 def fit_two_moment(mean: float, variance: float, family: str) -> FitResult:
@@ -76,21 +88,19 @@ def fit_two_moment(mean: float, variance: float, family: str) -> FitResult:
         if mean < 0:
             raise ValidationError("normal fit requires mean >= 0")
         params = {"mean": mean, "variance": variance}
-        raw = tuple(_normal_raw(mean, variance, 4)[1:])
+        raw = tuple(_tails("normal", mean, variance, 4)[1:])
     elif family == "gamma":
         if mean <= 0:
             raise ValidationError("gamma fit requires mean > 0")
-        shape = mean * mean / variance
-        scale = variance / mean
-        params = {"shape": shape, "scale": scale}
-        raw = tuple(_gamma_raw(shape, scale, 4)[1:])
+        params = {"shape": mean * mean / variance, "scale": variance / mean}
+        raw = tuple(_tails("gamma", mean, variance, 4)[1:])
     elif family == "lognormal":
         if mean <= 0:
             raise ValidationError("lognormal fit requires mean > 0")
         lvar = math.log1p(variance / (mean * mean))
         lmean = math.log(mean) - 0.5 * lvar
         params = {"log_mean": lmean, "log_variance": lvar}
-        raw = tuple(_lognormal_raw(lmean, lvar, 4)[1:])
+        raw = tuple(math.exp(k * lmean + 0.5 * k * k * lvar) for k in range(1, 5))
     else:
         raise ValidationError(
             "unknown family %r; expected one of %s" % (family, TWO_MOMENT_FAMILIES)
@@ -98,22 +108,12 @@ def fit_two_moment(mean: float, variance: float, family: str) -> FitResult:
     return FitResult(family, params, raw)
 
 
-def _base_raw(base: str, mu: float, s2: float, kmax: int) -> list[float] | None:
-    if s2 <= 0:
-        return None
-    if base == "gamma":
-        if mu <= 0:
-            return None
-        return _gamma_raw(mu * mu / s2, s2 / mu, kmax)
-    return _normal_raw(mu, s2, kmax)
-
-
 def _ansatz_raw(x: tuple, base: str, kmax: int = 4) -> list[float] | None:
     """Raw moments 1..kmax of the modulated density, or None off-domain."""
     b, c, mu, s2 = x
-    g = _base_raw(base, mu, s2, kmax + 2)
-    if g is None:
+    if s2 <= 0 or (base == "gamma" and mu <= 0):
         return None
+    g = _tails(base, mu, s2, kmax + 2)
     z = 1.0 + b * g[1] + c * g[2]
     if abs(z) < 1e-12:
         return None
@@ -246,7 +246,7 @@ def _modulated(base: str, mu: float, s2: float, m1: float, m2: float):
     base fixed these two conditions are linear in (b, c); when the base solves
     the orthogonal-polynomial conditions the third and fourth moments then
     match as well."""
-    g = _base_raw(base, mu, s2, 4)
+    g = _tails(base, mu, s2, 4)
     a11, a12, r1 = g[2] - m1 * g[1], g[3] - m1 * g[2], m1 - g[1]
     a21, a22, r2 = g[3] - m2 * g[1], g[4] - m2 * g[2], m2 - g[2]
     det = a11 * a22 - a12 * a21
@@ -302,7 +302,7 @@ def fit_poly_ansatz(
 
     def nonnegative(x) -> bool:
         b, c, mu, s2 = x
-        g = _base_raw(base, mu, s2, 2)
+        g = _tails(base, mu, s2, 2)
         grid = np.linspace(0.0, grid_max(x), 1024)
         poly = 1.0 + b * grid + c * grid * grid
         return bool(np.all(poly * np.sign(1.0 + b * g[1] + c * g[2]) >= 0))
@@ -334,7 +334,7 @@ def fit_poly_ansatz(
     neg, _, x = min(((not nonnegative(x), abs(math.log(x[3] / var)), x)
                      for x in roots.values()), key=lambda t: t[:2])
     b, c, mu, s2 = x
-    g = _base_raw(base, mu, s2, 2)
+    g = _tails(base, mu, s2, 2)
     z = 1.0 + b * g[1] + c * g[2]
     params = {"b": b, "c": c, "mu": mu, "sigma2": s2, "base": base,
               "normalization": z}
@@ -393,34 +393,19 @@ def density(f: FitResult, x: np.ndarray) -> np.ndarray:
 
 def survival(f: FitResult, i_star: float) -> float:
     """Upper-tail probability p(I > i_star) of the fitted density."""
-    if i_star < 0:
+    if not i_star >= 0:
         raise ValidationError("threshold must be >= 0")
+    p = f.params
     if f.family == "normal":
-        mu, s2 = f.params["mean"], f.params["variance"]
-        return 0.5 * math.erfc((i_star - mu) / math.sqrt(2.0 * s2))
+        return _tails("normal", p["mean"], p["variance"], 0, i_star)[0]
     if f.family == "gamma":
-        return float(gammaincc(f.params["shape"], i_star / f.params["scale"]))
+        return float(gammaincc(p["shape"], i_star / p["scale"]))
     if f.family == "lognormal":
-        if i_star <= 0:
-            return 1.0
-        lm, lv = f.params["log_mean"], f.params["log_variance"]
-        return 0.5 * math.erfc((math.log(i_star) - lm) / math.sqrt(2.0 * lv))
+        t = math.log(i_star) if i_star > 0 else -math.inf
+        return _tails("normal", p["log_mean"], p["log_variance"], 0, t)[0]
     if f.family == "poly_ansatz":
-        p = f.params
-        b, c, z = p["b"], p["c"], p["normalization"]
-        if p["base"] == "gamma":
-            # Tail integrals of x^k p0 reduce to upper incomplete gammas.
-            shape, scale = p["base_shape"], p["base_scale"]
-            g = _gamma_raw(shape, scale, 2)
-            t = [g[k] * float(gammaincc(shape + k, i_star / scale)) for k in range(3)]
-        else:
-            # T_k = mu T_(k-1) + (k-1) s2 T_(k-2) + s2 i*^(k-1) p0(i*), by parts.
-            mu, s2 = p["mu"], p["sigma2"]
-            edge = math.exp(-0.5 * (i_star - mu) ** 2 / s2) * math.sqrt(0.5 * s2 / math.pi)
-            t = [0.5 * math.erfc((i_star - mu) / math.sqrt(2.0 * s2))]
-            t.append(mu * t[0] + edge)
-            t.append(mu * t[1] + s2 * t[0] + i_star * edge)
-        return (t[0] + b * t[1] + c * t[2]) / z
+        t = _tails(p["base"], p["mu"], p["sigma2"], 2, i_star)
+        return (t[0] + p["b"] * t[1] + p["c"] * t[2]) / p["normalization"]
     raise ValidationError("unknown family %r" % f.family)
 
 

@@ -105,6 +105,8 @@ def mc_estimate(
     """
     if n_samples < 100:
         raise ValidationError("mc_estimate needs at least 100 samples")
+    if seed < 0:
+        raise ValidationError("mc_estimate needs a seed >= 0")
     c.require_all_positive("Dirichlet sampling")
     shapes = c.counts.reshape(-1)
     values = np.empty(n_samples)

@@ -36,6 +36,22 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
+def _valid_grid(a, what: str = "table", entry: str = "entry") -> np.ndarray:
+    """a as a read-only float array (see _read_only), checked to be a non-empty
+    2-d grid of finite, non-negative entries; the messages name the first bad
+    cell, calling the grid `what` and a cell `entry`."""
+    a = _read_only(a)
+    if a.ndim != 2 or a.size == 0:
+        raise ValidationError("%s must be a non-empty 2-d grid" % what)
+    if not np.all(np.isfinite(a)):
+        bad = np.argwhere(~np.isfinite(a))[0]
+        raise ValidationError("non-finite %s at cell (%d, %d)" % ((entry,) + tuple(bad)))
+    if np.any(a < 0):
+        bad = np.argwhere(a < 0)[0]
+        raise ValidationError("negative %s at cell (%d, %d)" % ((entry,) + tuple(bad)))
+    return a
+
+
 @dataclass(frozen=True)
 class CountsTable:
     """An r x s grid of observed co-occurrence counts."""
@@ -43,16 +59,8 @@ class CountsTable:
     counts: np.ndarray  # shape (r, s), non-negative floats
 
     def __post_init__(self):
-        a = _read_only(self.counts)
+        a = _valid_grid(self.counts)
         object.__setattr__(self, "counts", a)
-        if a.ndim != 2 or a.size == 0:
-            raise ValidationError("table must be a non-empty 2-d grid")
-        if not np.all(np.isfinite(a)):
-            bad = np.argwhere(~np.isfinite(a))[0]
-            raise ValidationError("non-finite entry at cell (%d, %d)" % tuple(bad))
-        if np.any(a < 0):
-            bad = np.argwhere(a < 0)[0]
-            raise ValidationError("negative entry at cell (%d, %d)" % tuple(bad))
         if not np.any(a > 0):
             raise ValidationError("all-zero table: at least one count must be positive")
 
@@ -80,12 +88,8 @@ class PriorSpec:
         if self.kind == "custom":
             if self.matrix is None:
                 raise ValidationError("custom prior requires a pseudo-count matrix")
-            m = _read_only(self.matrix)
+            m = _valid_grid(self.matrix, "custom prior matrix", "custom prior entry")
             object.__setattr__(self, "matrix", m)
-            if m.ndim != 2:
-                raise ValidationError("custom prior matrix must be 2-d")
-            if np.any(~np.isfinite(m)) or np.any(m < 0):
-                raise ValidationError("custom prior entries must be finite and >= 0")
         elif self.kind not in NAMED_PRIORS:
             raise ValidationError(
                 "unknown prior %r; expected one of %s or custom"

@@ -141,6 +141,49 @@ def test_all_zero_custom_prior_is_haldane(capsys, table_csv, tmp_path):
     assert json.loads(out)["moments"] == json.loads(ref)["moments"]
 
 
+def test_negative_prior_matrix_names_cell(capsys, table_csv, tmp_path):
+    pm = tmp_path / "prior.csv"
+    pm.write_text("-1,0\n0,0\n")
+    code, out, err = run(capsys, ["--input", table_csv, "--prior", "custom",
+                                  "--prior-matrix", str(pm)])
+    assert code == 2 and out == ""
+    assert "negative custom prior entry at cell (0, 0)" in err
+
+
+@pytest.mark.parametrize("which", ["--input", "--prior-matrix"])
+def test_non_utf8_file_exit_2(capsys, table_csv, tmp_path, which):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe1,2\n3,4\n")
+    argv = {"--input": ["--input", str(bad)],
+            "--prior-matrix": ["--input", table_csv, "--prior", "custom",
+                               "--prior-matrix", str(bad)]}[which]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "is not UTF-8 text" in err
+
+
+def test_negative_mc_seed_exit_2(capsys, table_csv):
+    code, out, err = run(capsys, ["--input", table_csv, "--mc", "1000",
+                                  "--mc-seed", "-1"])
+    assert code == 2 and out == ""
+    assert "seed >= 0" in err
+
+
+def test_nan_quantile_exit_2(capsys, table_csv):
+    code, out, err = run(capsys, ["--input", table_csv, "--quantile", "nan"])
+    assert code == 2 and out == ""
+    assert "threshold must be >= 0" in err
+
+
+@pytest.mark.parametrize("fit", ["ansatz", "gamma"])
+def test_constant_variable_fit_exit_3(capsys, tmp_path, fit):
+    p = tmp_path / "const.csv"
+    p.write_text("5,3\n")
+    code, out, err = run(capsys, ["--input", str(p), "--fit", fit])
+    assert code == 3 and out == ""
+    assert "fit requires positive variance" in err
+
+
 def test_ansatz_fit(capsys, table_csv):
     code, out, _ = run(capsys, ["--input", table_csv, "--prior", "haldane",
                                 "--fit", "ansatz", "--quantile", "0.2"])

@@ -21,7 +21,7 @@ from miposterior import (
 )
 from miposterior.fit import (
     _ansatz_raw,
-    _normal_raw,
+    _tails,
     _poly_mul,
     _resultant,
     _shape_moments,
@@ -118,7 +118,7 @@ class TestPolyAnsatz:
         assert f.params["sigma2"] == pytest.approx(0.02, abs=1e-6)
 
     def test_gaussian_input_collapses(self):
-        raw = _normal_raw(0.5, 0.04, 4)[1:]
+        raw = _tails("normal", 0.5, 0.04, 4)[1:]
         f = fit_poly_ansatz(*raw, base="normal")
         assert abs(f.params["b"]) < 1e-6
         assert abs(f.params["c"]) < 1e-6
@@ -300,6 +300,30 @@ class TestSurvival:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValidationError):
             survival(fit_two_moment(1.0, 1.0, "gamma"), -0.1)
+
+    def test_nan_threshold_rejected(self):
+        raw = central_to_raw(0.2165, 0.0129, 1.03e-3, 7.1e-4)
+        fits = [fit_two_moment(0.3, 0.02, fam) for fam in ("normal", "gamma", "lognormal")]
+        fits += [fit_poly_ansatz(*raw, base=base) for base in ("gamma", "normal")]
+        for f in fits:
+            with pytest.raises(ValidationError, match="threshold must be >= 0"):
+                survival(f, math.nan)
+
+    @pytest.mark.parametrize("base", ["normal", "gamma"])
+    def test_ansatz_tail_vanishes_far_out(self, base):
+        # (t - mu) ** 2 overflows near t = 1e154; every tail is 0.0 beyond.
+        raw = central_to_raw(0.2165, 0.0129, 1.03e-3, 7.1e-4)
+        f = fit_poly_ansatz(*raw, base=base)
+        for t in (1e160, 1e300, math.inf):
+            assert survival(f, t) == 0.0
+
+    @pytest.mark.parametrize("base", ["normal", "gamma"])
+    def test_tails_at_zero_threshold_are_raw_moments(self, base):
+        # With p0's mass on x > 0 (mu 12 sd above 0), T_k(0) = E0[x^k].
+        mu, s2 = 0.3, 6.25e-4
+        raw = _tails(base, mu, s2, 4)
+        for got, want in zip(_tails(base, mu, s2, 4, 0.0), raw):
+            assert got == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("family", ["normal", "lognormal"])
     def test_erfc_tails_match_references(self, family):

@@ -78,6 +78,10 @@ class TestMcEstimate:
         with pytest.raises(ValidationError):
             mc_estimate(posterior([[1, 1], [1, 1]]), 99)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed >= 0"):
+            mc_estimate(posterior([[1, 1], [1, 1]]), 1000, seed=-1)
+
     def test_zero_cell_rejected(self):
         with pytest.raises(ZeroCellError):
             mc_estimate(posterior([[5, 0], [0, 5]]), 1000)

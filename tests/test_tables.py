@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 
@@ -149,6 +150,19 @@ def test_custom_prior_wrong_shape():
 def test_custom_prior_negative():
     with pytest.raises(ValidationError):
         PriorSpec("custom", np.array([[-0.1, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[-1.0, 0.0], [0.0, 0.0]], "negative custom prior entry at cell (0, 0)"),
+    ([[0.5, 0.5], [0.5, math.nan]], "non-finite custom prior entry at cell (1, 1)"),
+    ([[0.5, math.inf], [0.5, 0.5]], "non-finite custom prior entry at cell (0, 1)"),
+    (np.zeros((0, 2)), "custom prior matrix must be a non-empty 2-d grid"),
+    ([0.5, 0.5], "custom prior matrix must be a non-empty 2-d grid"),
+], ids=["negative", "nan", "inf", "empty", "1-d"])
+def test_custom_prior_bad_matrix_names_cell(matrix, message):
+    with pytest.raises(ValidationError) as ei:
+        PriorSpec("custom", np.array(matrix, dtype=float))
+    assert str(ei.value) == message
 
 
 def test_unknown_prior_kind():
