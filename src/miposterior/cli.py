@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _clean(obj):
-    """Make a report JSON-serializable: arrays to lists, NaN/inf to None."""
+    """Make a report JSON-serializable: dataclasses to dicts, arrays to lists,
+    NaN/inf to None."""
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -72,6 +73,8 @@ def _clean(obj):
         return v if math.isfinite(v) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if is_dataclass(obj):
+        return _clean({f.name: getattr(obj, f.name) for f in fields(obj)})
     return obj
 
 
@@ -81,6 +84,18 @@ def _read_text(path: str) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ValidationError("%s is not UTF-8 text (%s)" % (path, exc)) from None
+
+
+def _fit(summary, var_used: float, family: str):
+    """The fitted density; the ansatz tries the gamma base, then the normal."""
+    if family != "ansatz":
+        return fit_two_moment(summary.mean_exact, var_used, family)
+    raw = central_to_raw(summary.mean_exact, var_used,
+                         summary.central3, summary.central4)
+    try:
+        return fit_poly_ansatz(*raw, base="gamma", support_max=summary.i_max * 1.05)
+    except FitError:
+        return fit_poly_ansatz(*raw, base="normal", support_max=summary.i_max * 1.05)
 
 
 def _build_report(args) -> dict:
@@ -103,7 +118,6 @@ def _build_report(args) -> dict:
     else:
         var_used, var_order_used = summary.var_o1, 1
 
-    fit_block = None
     fit_result = None
     if args.fit != "none":
         if args.fit == "ansatz":
@@ -116,27 +130,23 @@ def _build_report(args) -> dict:
                 "fit requires positive variance; the second-order variance "
                 "is %r" % var_used
             )
-        if args.fit == "ansatz":
-            raw = central_to_raw(summary.mean_exact, var_used,
-                                 summary.central3, summary.central4)
-            fit_result = fit_poly_ansatz(*raw, base="gamma",
-                                         support_max=summary.i_max * 1.05)
-        else:
-            fit_result = fit_two_moment(summary.mean_exact, var_used, args.fit)
-        fit_block = asdict(fit_result)
+        try:
+            fit_result = _fit(summary, var_used, args.fit)
+        except ValidationError as exc:
+            # The fit's inputs come from the summary, not from the user.
+            raise NumericPreconditionError(str(exc)) from None
 
     quantiles = []
     if args.quantile:
         if fit_result is None:
             raise ValidationError("--quantile requires a fitted density (--fit != none)")
         for t in args.quantile:
+            if t == math.inf:
+                raise ValidationError("--quantile must be finite, got inf")
             quantiles.append({"threshold": t, "p_exceed": survival(fit_result, t)})
 
-    mc_block = None
-    if args.mc:
-        est = mc_estimate(post, args.mc, seed=args.mc_seed,
-                          thresholds=tuple(args.quantile))
-        mc_block = asdict(est)
+    mc_block = (mc_estimate(post, args.mc, seed=args.mc_seed,
+                            thresholds=tuple(args.quantile)) if args.mc else None)
 
     return _clean({
         "tool": "miposterior",
@@ -151,11 +161,11 @@ def _build_report(args) -> dict:
             "n": post.total,
             "all_positive": post.all_positive,
         },
-        "point_stats": asdict(post.stats),
-        "moments": asdict(summary),
+        "point_stats": post.stats,
+        "moments": summary,
         "var_order_used": var_order_used,
         "variance_used": var_used,
-        "fit": fit_block,
+        "fit": fit_result,
         "quantiles": quantiles,
         "mc": mc_block,
         "seed": args.mc_seed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericPreconditionError, ValidationError
 from .moments import i_max as _i_max
 from .tables import PosteriorCounts
 
@@ -60,6 +60,11 @@ def _margins(r: int, s: int) -> np.ndarray:
     return a
 
 
+def _sum_xlogx(a: np.ndarray) -> np.ndarray:
+    """Each row's sum of a log a, with 0 log 0 = 0."""
+    return np.einsum("ij,ij->i", a, np.log(a, out=np.zeros_like(a), where=a > 0))
+
+
 def _mi_of_samples(x: np.ndarray, r: int, s: int) -> np.ndarray:
     """I(pi) for a batch of unnormalized gamma draws, shape (m, r*s) -> (m,).
 
@@ -71,8 +76,19 @@ def _mi_of_samples(x: np.ndarray, r: int, s: int) -> np.ndarray:
     total = sums[:, 0]
     marg = sums[:, 1:]
     # einsum forms each row's sum of products without a temporary array.
-    out = (np.einsum("ij,ij->i", x, np.log(x))
-           - np.einsum("ij,ij->i", marg, np.log(marg))) / total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.einsum("ij,ij->i", x, np.log(x))
+               - np.einsum("ij,ij->i", marg, np.log(marg))) / total
+    bad = np.isnan(out)
+    if bad.any():
+        # Draws of shapes below about 0.01 can underflow to 0, where
+        # 0 log 0 reads NaN; those rows take the x log x -> 0 limit.
+        if not np.all(total[bad] > 0):
+            raise NumericPreconditionError(
+                "a Monte Carlo draw underflows to 0 in every cell; the posterior "
+                "counts are too small for gamma sampling in double precision"
+            )
+        out[bad] = (_sum_xlogx(x[bad]) - _sum_xlogx(marg[bad])) / total[bad]
     out += np.log(total)
     # I >= 0 analytically; floor tiny negative rounding residue.
     return np.maximum(out, 0.0)

@@ -211,44 +211,17 @@ def central4(c: PosteriorCounts) -> float:
                    "the fourth central moment")
 
 
-def _shape(n: float, v1: float, v2: float, mu3: float, mu4: float) -> tuple:
-    """Skewness and kurtosis from the series moments (v2, mu3 NaN: zero cells)."""
-    if not (v1 > 0):
-        # The leading-order moments all vanish together; dividing the
-        # (vanishing) third and fourth moments by a purely second-order
-        # variance would produce meaningless shape values.
-        raise DegenerateError(
-            "zero leading-order variance (the log-ratio is constant on the "
-            "table's support); skewness and kurtosis are undefined at this order"
-        )
-    if mu4 == 0.0:
-        # mu4 = 3 (n+1)^2 var_o1^2 / n^2 > 0 in exact arithmetic, so a zero
-        # here is underflow and the shape ratios would read a spurious 0.
-        raise DegenerateError(
-            "the third and fourth central moments underflow in double "
-            "precision (n = %.3g); skewness and kurtosis are undefined" % n
-        )
-    var = v2 if v2 > 0 else v1
-    # Divide step by step: var**2 can underflow to 0 while the ratio is finite.
-    return mu3 / var / math.sqrt(var), mu4 / var / var
-
-
 def skew_kurt(c: PosteriorCounts) -> tuple[float, float]:
-    """Skewness and kurtosis of the posterior of I.
-
-    Divides by the best available variance (second order when it is defined
-    and positive, else leading order). Raises DegenerateError when the
-    leading-order variance vanishes (the log-ratio is constant on the table's
-    support) or the fourth central moment underflows (n above about 1e160).
-    """
-    if _degenerate(c):
+    """Skewness and kurtosis of the posterior of I: summarize(c)'s, or
+    DegenerateError with the message of the flag that leaves them undefined
+    (constant_variable, shape_degenerate or shape_underflow)."""
+    s = summarize(c)
+    if "constant_variable" in s.flags:
         raise DegenerateError("constant variable: I is identically 0")
-    v1 = var_o1(c)
-    if c.all_positive and v1 > 0:
-        return _shape(c.total, v1, var_o2(c), central3(c), central4(c))
-    # Zero cells, or a zero v1 that _shape rejects before reading mu3, which
-    # overflows on tiny n.
-    return _shape(c.total, v1, math.nan, math.nan, central4(c))
+    why = s.flags.get("shape_degenerate") or s.flags.get("shape_underflow")
+    if why:
+        raise DegenerateError(why)
+    return s.skewness, s.kurtosis
 
 
 def dirichlet_covariance(c: PosteriorCounts) -> np.ndarray:
@@ -296,13 +269,17 @@ def mean_var_from_cov(qhat: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
 def summarize(c: PosteriorCounts) -> MomentSummary:
     """All moments with flags instead of exceptions for degenerate regimes.
 
-    Flag keys: ``constant_variable`` (r or s is 1, so I is identically 0),
+    The one place the shape regime is decided: skewness and kurtosis divide
+    by the second-order variance when it is positive, else by the leading
+    order one (with zero cells the skewness is NaN). Flag keys:
+    ``constant_variable`` (r or s is 1, so I is identically 0),
     ``zero_cells`` (their indices; the second-order terms are NaN),
     ``validity_warning`` (negative second-order variance),
     ``shape_degenerate`` (zero leading-order variance) and ``shape_underflow``
     (the third and fourth central moments underflow, for n above about
-    1e160). The last two carry skew_kurt's message and leave skewness and
-    kurtosis NaN.
+    1e160). The last two carry the message skew_kurt raises and leave
+    skewness and kurtosis NaN. A moment that overflows (n below about
+    1e-154) raises NumericPreconditionError.
     """
     flags: dict = {}
     im = i_max(c)
@@ -326,9 +303,24 @@ def summarize(c: PosteriorCounts) -> MomentSummary:
     else:
         flags["zero_cells"] = c.zero_cells()
         v2 = mu3 = math.nan
-    try:
-        skew, kurt = _shape(c.total, v1, v2, mu3, mu4)
-    except DegenerateError as exc:
-        flags["shape_underflow" if v1 > 0 else "shape_degenerate"] = str(exc)
-        skew = kurt = math.nan
+    skew = kurt = math.nan
+    if not v1 > 0:
+        # The leading-order moments all vanish together; dividing the
+        # (vanishing) third and fourth moments by a purely second-order
+        # variance would produce meaningless shape values.
+        flags["shape_degenerate"] = (
+            "zero leading-order variance (the log-ratio is constant on the "
+            "table's support); skewness and kurtosis are undefined at this order"
+        )
+    elif mu4 == 0.0:
+        # mu4 = 3 (n+1)^2 var_o1^2 / n^2 > 0 in exact arithmetic, so a zero
+        # here is underflow and the shape ratios would read a spurious 0.
+        flags["shape_underflow"] = (
+            "the third and fourth central moments underflow in double "
+            "precision (n = %.3g); skewness and kurtosis are undefined" % c.total
+        )
+    else:
+        # Divide step by step: var**2 can underflow to 0 while the ratio is finite.
+        var = v2 if v2 > 0 else v1
+        skew, kurt = mu3 / var / math.sqrt(var), mu4 / var / var
     return MomentSummary(me, mo2, v1, v2, mu3, mu4, skew, kurt, im, ratio, flags)

@@ -118,24 +118,42 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class PosteriorCounts:
-    """Dirichlet posterior parameters n_ij with cached marginals, total and
-    point statistics.
+    """Dirichlet posterior parameters n_ij with their marginals, total and
+    cached point statistics.
 
-    The arrays are read-only (see _read_only), so the cached statistics
-    cannot go stale; apply_prior passes read-only arrays, so it copies
-    nothing. The marginals and total are taken as given, not checked against
-    the counts.
+    Built from the counts alone: the marginals, the total and all_positive
+    are derived here, and a total that overflows or is not positive is
+    rejected. The counts are kept read-only (see _read_only), so the cached
+    statistics cannot go stale.
     """
 
     counts: np.ndarray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    total: float
-    all_positive: bool
+    row_sums: np.ndarray = field(init=False)
+    col_sums: np.ndarray = field(init=False)
+    total: float = field(init=False)
+    all_positive: bool = field(init=False)
 
     def __post_init__(self):
-        for name in ("counts", "row_sums", "col_sums"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        n = _read_only(self.counts)
+        # Every cell and margin is at most the total, so testing the total
+        # covers all overflow; numpy's overflow warnings would only repeat it.
+        with np.errstate(over="ignore"):
+            total = float(n.sum())
+            row_sums = n.sum(axis=1)
+            col_sums = n.sum(axis=0)
+        if not math.isfinite(total):
+            raise NumericPreconditionError(
+                "the posterior total overflows double precision; the counts are "
+                "too extreme in magnitude (rescale them)"
+            )
+        if total <= 0:
+            raise ValidationError("posterior total must be positive")
+        row_sums.setflags(write=False)
+        col_sums.setflags(write=False)
+        for name, value in (("counts", n), ("row_sums", row_sums),
+                            ("col_sums", col_sums), ("total", total),
+                            ("all_positive", bool(np.all(n > 0)))):
+            object.__setattr__(self, name, value)
 
     @property
     def r(self) -> int:
@@ -168,35 +186,15 @@ class PosteriorCounts:
 
 
 def apply_prior(table: CountsTable, prior: PriorSpec) -> PosteriorCounts:
-    """Add prior pseudo-counts to observed counts and cache marginals.
-
-    The haldane prior (0 per cell) leaves every entry bit-identical.
-    """
-    pseudo = prior.pseudo_counts(table.r, table.s)
-    # Every cell and margin is at most the total, so testing the total covers
-    # all overflow; numpy's overflow warnings would only repeat it.
-    with np.errstate(over="ignore"):
-        n = table.counts if prior.kind == "haldane" else table.counts + pseudo
-        n.setflags(write=False)
-        total = float(n.sum())
-        row_sums = n.sum(axis=1)
-        col_sums = n.sum(axis=0)
-    row_sums.setflags(write=False)
-    col_sums.setflags(write=False)
-    if not math.isfinite(total):
-        raise NumericPreconditionError(
-            "the posterior total overflows double precision; the counts are "
-            "too extreme in magnitude (rescale them)"
-        )
-    if total <= 0:
-        raise ValidationError("posterior total must be positive")
-    return PosteriorCounts(
-        counts=n,
-        row_sums=row_sums,
-        col_sums=col_sums,
-        total=total,
-        all_positive=bool(np.all(n > 0)),
-    )
+    """The posterior of a table under a prior: its counts plus the prior's
+    pseudo-counts. The haldane prior (0 per cell) passes the table's
+    read-only counts on without a copy."""
+    if prior.kind == "haldane":
+        return PosteriorCounts(table.counts)
+    with np.errstate(over="ignore"):  # PosteriorCounts names the overflow
+        n = table.counts + prior.pseudo_counts(table.r, table.s)
+    n.setflags(write=False)
+    return PosteriorCounts(n)
 
 
 def parse_table(text: str, fmt: str = "csv") -> CountsTable:

@@ -193,17 +193,36 @@ def test_ansatz_fit(capsys, table_csv):
     assert report["fit"]["diagnostics"]["residual"] <= 1e-8
 
 
-def test_ansatz_without_root_exits_3(capsys, tmp_path):
+def test_ansatz_without_root_exits_3(capsys, table_csv, monkeypatch):
+    from miposterior import FitError, cli
+
+    bases = []
+
+    def no_root(*raw, base, support_max):
+        bases.append(base)
+        raise FitError("four-moment fit (%s base): no root ... (best residual 0.5)"
+                       % base, residual=0.5)
+
+    monkeypatch.setattr(cli, "fit_poly_ansatz", no_root)
+    code, out, err = run(capsys, ["--input", table_csv, "--fit", "ansatz"])
+    assert code == 3
+    assert out == ""
+    assert bases == ["gamma", "normal"]
+    assert "normal base" in err and "best residual" in err
+    assert "Traceback" not in err
+
+
+def test_ansatz_falls_back_to_normal_base(capsys, tmp_path):
     # Its series kurtosis is below skewness^2 + 1: no gamma-base ansatz
-    # has these four moments.
+    # has these four moments, but a normal-base one does.
     p = tmp_path / "t.csv"
     p.write_text("8,3\n5,4\n")
     code, out, err = run(capsys, ["--input", str(p), "--prior", "jeffreys",
-                                  "--fit", "ansatz"])
-    assert code == 3
-    assert out == ""
-    assert "best residual" in err
-    assert "Traceback" not in err
+                                  "--fit", "ansatz", "--quantile", "0.05"])
+    assert code == 0 and err == ""
+    fit = json.loads(out)["fit"]
+    assert fit["params"]["base"] == "normal"
+    assert fit["diagnostics"]["residual"] <= 1e-8
 
 
 def test_one_point_stats_pass_per_report(capsys, table_csv, monkeypatch):
@@ -338,3 +357,31 @@ def test_zero_cell_ansatz_and_mc_exit_3(capsys, zero_cell_csv, extra):
     assert out == ""
     assert "(0, 1)" in err
     assert "Traceback" not in err
+
+
+def test_inf_quantile_exit_2(capsys, table_csv):
+    code, out, err = run(capsys, ["--input", table_csv, "--quantile", "inf"])
+    assert code == 2 and out == ""
+    assert "--quantile must be finite" in err
+
+
+@pytest.mark.parametrize("fit", ["gamma", "lognormal", "ansatz"])
+def test_fit_rejecting_the_summary_exits_3(capsys, tmp_path, fit):
+    # A valid table whose exact mean is not positive: the fit's inputs come
+    # from the summary, so the failure is a numeric precondition, not bad input.
+    p = tmp_path / "t.csv"
+    p.write_text("1e-20,3e-20\n2e-20,1e-20\n")
+    code, out, err = run(capsys, ["--input", str(p), "--prior", "haldane",
+                                  "--fit", fit])
+    assert code == 3 and out == ""
+    assert "requires m" in err
+    assert "Traceback" not in err
+
+
+def test_mc_draw_underflow_exit_3(capsys, tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("1e-3,2e-3\n3e-3,1e-3\n")
+    code, out, err = run(capsys, ["--input", str(p), "--prior", "haldane",
+                                  "--fit", "none", "--mc", "200"])
+    assert code == 3 and out == ""
+    assert "underflows to 0 in every cell" in err

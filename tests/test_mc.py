@@ -5,12 +5,14 @@ import pytest
 
 from miposterior import (
     CountsTable,
+    NumericPreconditionError,
     PriorSpec,
     ValidationError,
     ZeroCellError,
     apply_prior,
     i_max,
     mc_estimate,
+    mean_exact,
     sample_dirichlet,
 )
 
@@ -134,3 +136,39 @@ class TestMcEstimate:
         c = posterior([[4, 1], [1, 4]])
         est = mc_estimate(c, 20_000, seed=5, thresholds=(i_max(c) + 1e-12,))
         assert est.tail[i_max(c) + 1e-12] == 0.0
+
+
+class TestUnderflowingDraws:
+    # Perks gives the 38 zero cells the shape 0.01; their gamma draws often
+    # underflow to 0, where 0 log 0 would read NaN.
+    TABLE = np.random.default_rng(0).poisson(0.8, (10, 10))
+
+    def test_zero_draws_take_the_x_log_x_limit(self):
+        c = posterior(self.TABLE, "perks")
+        est = mc_estimate(c, 20000, seed=1)
+        for v in (est.mean, est.variance, est.skewness, est.kurtosis,
+                  est.se_mean, est.se_variance):
+            assert math.isfinite(v)
+        assert int(est.hist_counts.sum()) == 20000
+        assert abs(est.mean - mean_exact(c)) <= 5.0 * est.se_mean
+
+    def test_cli_report_is_complete(self, tmp_path, capsys):
+        import json
+
+        from miposterior.cli import main
+
+        p = tmp_path / "t.csv"
+        p.write_text("\n".join(",".join(map(str, row)) for row in self.TABLE))
+        code = main(["--input", str(p), "--prior", "perks", "--fit", "none",
+                     "--mc", "20000", "--mc-seed", "1"])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        mc = json.loads(out.out)["mc"]
+        assert None not in (mc["mean"], mc["variance"], mc["se_mean"])
+        assert sum(mc["hist_counts"]) == 20000
+
+    def test_draw_with_zero_total_raises(self):
+        # Shapes near 1e-3: every cell of some draws underflows to 0.
+        c = posterior([[1e-3, 2e-3], [3e-3, 1e-3]])
+        with pytest.raises(NumericPreconditionError, match="underflows to 0 in every cell"):
+            mc_estimate(c, 200)

@@ -6,6 +6,7 @@ import pytest
 from miposterior import (
     CountsTable,
     DegenerateError,
+    NumericPreconditionError,
     PriorSpec,
     ValidationError,
     ZeroCellError,
@@ -473,3 +474,24 @@ class TestCachedPointStats:
         c = posterior([[1, 0, 3]])
         assert (mean_o2(c), var_o1(c), var_o2(c), central3(c), central4(c)) == (
             0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+class TestShapeRegime:
+    def test_tiny_counts_raise_what_summarize_raises(self):
+        # n = 4e-170: the third central moment overflows, so summarize raises
+        # NumericPreconditionError, and skew_kurt raises the same error rather
+        # than calling the shape degenerate.
+        c = posterior(np.full((2, 2), 1e-170))
+        with pytest.raises(NumericPreconditionError) as want:
+            summarize(c)
+        with pytest.raises(NumericPreconditionError) as got:
+            skew_kurt(c)
+        assert not isinstance(got.value, DegenerateError)
+        assert str(got.value) == str(want.value)
+
+    def test_zero_cells_keep_the_leading_order_kurtosis(self):
+        c = posterior([[5, 0, 1], [1, 5, 2]])
+        s = summarize(c)
+        skew, kurt = skew_kurt(c)
+        assert math.isnan(skew) and math.isnan(s.skewness)
+        assert kurt == s.kurtosis == s.central4 / s.var_o1 / s.var_o1

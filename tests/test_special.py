@@ -123,3 +123,22 @@ def test_tables_match_sequential_sums():
         assert not got.flags.writeable
     assert [digamma_integer(m) for m in range(1, top + 1)] == ints[1:].tolist()
     assert [digamma_half_integer(m) for m in range(top + 1)] == halves.tolist()
+
+
+@pytest.mark.parametrize("m", [513, 10**6])
+def test_past_the_tables_against_scipy(m):
+    from scipy.special import digamma as sp_digamma
+
+    assert digamma_integer(m) == pytest.approx(float(sp_digamma(float(m))), rel=1e-14)
+    assert digamma_half_integer(m) == pytest.approx(float(sp_digamma(m + 0.5)), rel=1e-14)
+
+
+def test_past_the_tables_costs_no_harmonic_sum():
+    # A sum of m harmonic terms takes about a second at m = 1e7; the series
+    # takes microseconds.
+    import time
+
+    t = time.perf_counter()
+    digamma_integer(10**7)
+    digamma_half_integer(10**7)
+    assert time.perf_counter() - t < 0.1

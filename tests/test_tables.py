@@ -210,7 +210,7 @@ def test_posterior_counts_keeps_no_writable_caller_array():
     # Built with its own constructor, the posterior must not share a writable
     # array with the caller, or its cached statistics go stale.
     n = np.array([[8.0, 2.0], [2.0, 8.0]])
-    c = PosteriorCounts(n, n.sum(1), n.sum(0), 20.0, True)
+    c = PosteriorCounts(n)
     j = c.stats.j
     n[0, 1] = 8.0
     assert c.stats.j == j == point_stats(c).j
@@ -220,9 +220,8 @@ def test_posterior_counts_keeps_no_writable_caller_array():
 
 def test_posterior_counts_keeps_read_only_arrays_as_given():
     c = apply_prior(parse_table("1,2\n3,4"), PriorSpec("jeffreys"))
-    again = PosteriorCounts(c.counts, c.row_sums, c.col_sums, c.total, True)
+    again = PosteriorCounts(c.counts)
     assert again.counts is c.counts
-    assert again.row_sums is c.row_sums and again.col_sums is c.col_sums
 
 
 def test_counts_table_leaves_caller_array_writable():
@@ -376,3 +375,21 @@ class TestParseParity:
                 text = "\n".join(sep.join(row) for row in rows) + "\n\n"
                 assert len(text) >= tables._LOADTXT_MIN_CHARS
                 self._assert_same(text, fmt)
+
+
+def test_posterior_counts_derives_its_state_from_the_counts():
+    n = np.array([[8.0, 2.0, 0.0], [2.0, 8.0, 1.5]])
+    c = PosteriorCounts(n)
+    assert c.row_sums.tolist() == [10.0, 11.5]
+    assert c.col_sums.tolist() == [10.0, 10.0, 1.5]
+    assert c.total == 21.5 and c.all_positive is False
+    assert PosteriorCounts(n + 1.0).all_positive is True
+    for arr in (c.row_sums, c.col_sums):
+        assert not arr.flags.writeable
+
+
+def test_posterior_counts_checks_its_total():
+    with pytest.raises(NumericPreconditionError, match="total overflows"):
+        PosteriorCounts(np.full((2, 2), 1e308))
+    with pytest.raises(ValidationError, match="total must be positive"):
+        PosteriorCounts(np.zeros((2, 2)))
