@@ -10,6 +10,7 @@ computes its point statistics once, as ``PosteriorCounts.stats``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,6 +65,10 @@ class MomentSummary:
     i_max: float
     validity_ratio: float  # r*s / n, small means the expansions are trustworthy
     flags: dict = field(default_factory=dict)
+
+
+#: K - J^2 is read as 0 below this multiple of K, and K below its square
+_ROUNDING = 32.0 * sys.float_info.epsilon
 
 
 def _degenerate(c: PosteriorCounts) -> bool:
@@ -148,11 +153,37 @@ def point_stats(c: PosteriorCounts) -> PointStats:
     return PointStats(j, k, l, m, p, q, row_j, col_j)
 
 
+#: (-1)^k zeta(k) for k = 2..9, the coefficients of psi(1 + x) - psi(1)
+_PSI1P_SERIES = (1.6449340668482264, -1.2020569031595943, 1.0823232337111382,
+                 -1.0369277551433699, 1.0173430619844491, -1.0083492773819228,
+                 1.0040773561979443, -1.0020083928260822)
+#: below this total mean_exact takes psi(1 + x) - psi(1) from its series
+_SERIES_TOTAL = 1e-2
+
+
+def _psi1p_minus_psi1(x):
+    """psi(1 + x) - psi(1) = sum_{k>=2} (-1)^k zeta(k) x^(k-1), to 1e-16
+    relative for 0 <= x <= 1e-2; x a float or an array."""
+    acc = 0.0
+    for z in reversed(_PSI1P_SERIES):
+        acc = acc * x + z
+    return acc * x
+
+
 def mean_exact(c: PosteriorCounts) -> float:
     """Exact posterior mean of I: a digamma sum over cells and marginals."""
     if _degenerate(c):
         return 0.0
     n = c.counts
+    if c.total < _SERIES_TOTAL:
+        # Every cell and margin is below 1e-2 too. digamma(x + 1) rounds to
+        # psi(1) for x below about 1e-16; each term's four psi(1) cancel, so
+        # drop them. The weights n / total keep the terms, of order total,
+        # from underflowing as n * total would.
+        d = _psi1p_minus_psi1
+        terms = (n / c.total) * (d(n) - d(c.row_sums)[:, None] - d(c.col_sums)
+                                 + d(c.total))
+        return math.fsum(memoryview(terms.ravel()))
     psi_margins = digamma(np.concatenate((c.row_sums, c.col_sums)) + 1.0)
     psi_rows = psi_margins[:c.r, None]
     psi_cols = psi_margins[c.r:]
@@ -169,10 +200,21 @@ def mean_o2(c: PosteriorCounts) -> float:
     return c.stats.j + (c.r - 1) * (c.s - 1) / (2.0 * (c.total + 1.0))
 
 
+def _spread(st: PointStats) -> float:
+    """K - J^2, the plug-in variance of the log-ratio, taken as 0 where it is
+    within rounding of 0: below _ROUNDING * K (the log-ratio is constant on
+    the table's support) or with sqrt(K) below _ROUNDING (the log-ratios are
+    rounding noise, as on an exactly independent table). Left as computed,
+    such a residue would set shape_degenerate by the order of the rows."""
+    d = st.k - st.j**2
+    if d <= _ROUNDING * st.k or st.k <= _ROUNDING * _ROUNDING:
+        return 0.0
+    return d
+
+
 def var_o1(c: PosteriorCounts) -> float:
     """Leading-order variance (K - J^2) / (n+1)."""
-    st = c.stats
-    return max(0.0, st.k - st.j**2) / (c.total + 1.0)
+    return _spread(c.stats) / (c.total + 1.0)
 
 
 def var_o2(c: PosteriorCounts) -> float:
@@ -205,9 +247,8 @@ def central3(c: PosteriorCounts) -> float:
 
 def central4(c: PosteriorCounts) -> float:
     """Leading-order fourth central moment: 3 (K - J^2)^2 / n^2."""
-    st = c.stats
     n = c.total
-    return _finite(3.0 * max(0.0, st.k - st.j**2) ** 2 / n / n,
+    return _finite(3.0 * _spread(c.stats) ** 2 / n / n,
                    "the fourth central moment")
 
 
@@ -275,7 +316,8 @@ def summarize(c: PosteriorCounts) -> MomentSummary:
     ``constant_variable`` (r or s is 1, so I is identically 0),
     ``zero_cells`` (their indices; the second-order terms are NaN),
     ``validity_warning`` (negative second-order variance),
-    ``shape_degenerate`` (zero leading-order variance) and ``shape_underflow``
+    ``shape_degenerate`` (zero leading-order variance, K - J^2 within
+    rounding of 0 included; see _spread) and ``shape_underflow``
     (the third and fourth central moments underflow, for n above about
     1e160). The last two carry the message skew_kurt raises and leave
     skewness and kurtosis NaN. A moment that overflows (n below about

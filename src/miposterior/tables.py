@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,9 +123,9 @@ class PosteriorCounts:
     cached point statistics.
 
     Built from the counts alone: the marginals, the total and all_positive
-    are derived here, and a total that overflows or is not positive is
-    rejected. The counts are kept read-only (see _read_only), so the cached
-    statistics cannot go stale.
+    are derived here, and a total that overflows, is subnormal or is not
+    positive is rejected. The counts are kept read-only (see _read_only), so
+    the cached statistics cannot go stale.
     """
 
     counts: np.ndarray
@@ -148,6 +149,12 @@ class PosteriorCounts:
             )
         if total <= 0:
             raise ValidationError("posterior total must be positive")
+        if total < sys.float_info.min:
+            # Subnormal: the statistics divide by the total and overflow.
+            raise NumericPreconditionError(
+                "the posterior total %r is subnormal in double precision; the "
+                "counts are too extreme in magnitude (rescale them)" % total
+            )
         row_sums.setflags(write=False)
         col_sums.setflags(write=False)
         for name, value in (("counts", n), ("row_sums", row_sums),

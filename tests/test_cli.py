@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -366,16 +367,48 @@ def test_inf_quantile_exit_2(capsys, table_csv):
 
 
 @pytest.mark.parametrize("fit", ["gamma", "lognormal", "ansatz"])
-def test_fit_rejecting_the_summary_exits_3(capsys, tmp_path, fit):
-    # A valid table whose exact mean is not positive: the fit's inputs come
-    # from the summary, so the failure is a numeric precondition, not bad input.
-    p = tmp_path / "t.csv"
-    p.write_text("1e-20,3e-20\n2e-20,1e-20\n")
-    code, out, err = run(capsys, ["--input", str(p), "--prior", "haldane",
-                                  "--fit", fit])
+def test_fit_rejecting_the_summary_exits_3(capsys, table_csv, monkeypatch, fit):
+    # A summary whose exact mean is not positive: the fit's inputs come from
+    # the summary, so the failure is a numeric precondition, not bad input.
+    import dataclasses
+
+    from miposterior import cli, moments
+
+    def zero_mean(post):
+        return dataclasses.replace(moments.summarize(post), mean_exact=0.0)
+
+    monkeypatch.setattr(cli, "summarize", zero_mean)
+    code, out, err = run(capsys, ["--input", table_csv, "--fit", fit])
     assert code == 3 and out == ""
     assert "requires m" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fit", ["gamma", "lognormal"])
+def test_fit_of_tiny_counts_takes_their_positive_mean(capsys, tmp_path, fit):
+    # mean_exact takes psi(1 + x) - psi(1) from its series below a total of
+    # 1e-2, so the mean of these counts is 3.29e-20, not 0.
+    p = tmp_path / "t.csv"
+    p.write_text("1e-20,3e-20\n2e-20,1e-20\n")
+    code, out, _ = run(capsys, ["--input", str(p), "--prior", "haldane",
+                                "--fit", fit])
+    assert code == 0
+    report = json.loads(out)
+    assert report["moments"]["mean_exact"] == pytest.approx(3.2898681336964e-20,
+                                                            rel=1e-12, abs=0.0)
+    assert report["fit"]["family"] == fit
+
+
+def test_subnormal_total_exits_3_without_a_warning(capsys, tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("4.42196e-318,0,1.55917e-318\n9.186973e-318,0,0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["--input", str(p), "--prior", "haldane",
+                                      "--fit", "lognormal"])
+    assert code == 3 and out == ""
+    assert "too extreme in magnitude (rescale them)" in err
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_mc_draw_underflow_exit_3(capsys, tmp_path):

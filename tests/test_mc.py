@@ -138,6 +138,87 @@ class TestMcEstimate:
         assert est.tail[i_max(c) + 1e-12] == 0.0
 
 
+def _whole_block_values(c, n, seed):
+    """I of every draw, each block drawn whole from default_rng([seed, k]) and
+    reduced with reshape sums."""
+    r, s = c.counts.shape
+    values = []
+    for k, start in enumerate(range(0, n, 1 << 15)):
+        m = min(1 << 15, n - start)
+        x = np.random.default_rng([seed, k]).standard_gamma(
+            c.counts.reshape(-1), size=(m, r * s)).reshape(m, r, s)
+        total = x.sum(axis=(1, 2))
+        rows, cols = x.sum(axis=2), x.sum(axis=1)
+        xlx = ((x * np.log(x)).sum(axis=(1, 2)) - (rows * np.log(rows)).sum(axis=1)
+               - (cols * np.log(cols)).sum(axis=1))
+        values.append(np.maximum(xlx / total + np.log(total), 0.0))
+    return np.concatenate(values)
+
+
+def _shape_stats(v):
+    d = v - v.mean()
+    m2 = (d * d).mean()
+    return v.mean(), v.var(ddof=1), (d**3).mean() / m2**1.5, (d**4).mean() / m2**2
+
+
+class TestChunkedBlocks:
+    # Each block is drawn and reduced in chunks of at most _CHUNK_CELLS cells.
+    # The generator fills the chunks in the order it would fill the whole
+    # block, so only the rounding of the reduction can move.
+
+    # 20x20: 163 rows per chunk, so chunks end inside a block, and 40,000
+    # draws are not a multiple of the chunk. The reference forms its margins
+    # by reshape sums, not the matrix product.
+    @pytest.mark.parametrize("shape, n", [((20, 20), 40_000), ((40, 40), 3_001)])
+    def test_matches_whole_block_draws(self, shape, n):
+        from miposterior import mc
+
+        c = posterior(np.random.default_rng(4).poisson(3.0, shape), "jeffreys")
+        rows = mc._CHUNK_CELLS // c.counts.size
+        assert (1 << 15) % rows and n % rows
+        est = mc_estimate(c, n, seed=5, thresholds=(0.5,))
+        want = _whole_block_values(c, n, 5)
+        got = (est.mean, est.variance, est.skewness, est.kurtosis)
+        # The skewness can sit near 0 (-0.0032 on the 40x40), so the two
+        # dimensionless ratios also take an absolute 1e-12.
+        for g, w, tol in zip(got, _shape_stats(want), (0.0, 0.0, 1e-12, 1e-12)):
+            assert g == pytest.approx(w, rel=1e-12, abs=tol)
+        assert est.tail[0.5] == float(np.mean(want > 0.5))
+
+    def test_chunk_size_moves_only_the_last_bits(self, monkeypatch):
+        from miposterior import mc
+
+        c = posterior([[4, 1, 2, 7], [1, 4, 3, 2], [2, 2, 5, 1], [3, 1, 1, 6]],
+                      "jeffreys")
+        whole = mc_estimate(c, 70_000, seed=3, thresholds=(0.1, 0.2))
+        for cells in (16, 16 * 999, 1 << 30):  # 1 row, 999 rows, whole blocks
+            monkeypatch.setattr(mc, "_CHUNK_CELLS", cells)
+            est = mc_estimate(c, 70_000, seed=3, thresholds=(0.1, 0.2))
+            for key in ("mean", "variance", "skewness", "kurtosis",
+                        "se_mean", "se_variance", "se_skewness", "se_kurtosis"):
+                assert getattr(est, key) == pytest.approx(
+                    getattr(whole, key), rel=1e-12, abs=0.0), key
+            assert est.tail == whole.tail
+            assert np.array_equal(est.hist_counts, whole.hist_counts)
+
+    @pytest.mark.parametrize("shape, n, limit_mib", [
+        ((5, 5), 98_304, 6.0),  # whole blocks: 16.3 MiB
+        ((40, 40), 20_000, 8.0),  # whole blocks: 501 MiB, 2.5 MiB now
+    ])
+    def test_peak_memory_is_one_chunk(self, shape, n, limit_mib):
+        import tracemalloc
+
+        c = posterior(np.random.default_rng(0).poisson(5.0, shape), "jeffreys")
+        mc_estimate(c, 100)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            mc_estimate(c, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
+
+
 class TestUnderflowingDraws:
     # Perks gives the 38 zero cells the shape 0.01; their gamma draws often
     # underflow to 0, where 0 log 0 would read NaN.

@@ -124,6 +124,40 @@ class TestMeanExact:
         for n in (4, 16, 64):
             assert mean_exact(posterior([[n / 4.0] * 2] * 2)) > 0
 
+    def test_tiny_total_matches_mpmath(self):
+        # digamma(x + 1) rounds to psi(1) below x of about 1e-16, which read
+        # this mean as exactly 0; the series for psi(1 + x) - psi(1) keeps it.
+        mpmath = pytest.importorskip("mpmath")
+        c = posterior([[1e-20, 3e-20], [2e-20, 1e-20]])
+        with mpmath.workdps(80):
+            psi1 = [mpmath.digamma(mpmath.mpf(float(v)) + 1)
+                    for v in (*c.row_sums, *c.col_sums, c.total)]
+            exact = mpmath.fsum(
+                nij * (mpmath.digamma(mpmath.mpf(float(nij)) + 1)
+                       - psi1[i] - psi1[2 + j] + psi1[-1])
+                for (i, j), nij in np.ndenumerate(c.counts)) / c.total
+        assert mean_exact(c) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+    def test_series_for_psi_one_plus_x(self):
+        from miposterior.moments import _SERIES_TOTAL, _psi1p_minus_psi1
+
+        mpmath = pytest.importorskip("mpmath")
+        for x in (0.0, 1e-300, 1e-20, 3.7e-9, 1e-4, 2.5e-3, _SERIES_TOTAL):
+            with mpmath.workdps(400):
+                want = mpmath.digamma(1 + mpmath.mpf(x)) - mpmath.digamma(1)
+            assert _psi1p_minus_psi1(x) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+        xs = np.array([1e-30, 1e-3])
+        assert np.array_equal(_psi1p_minus_psi1(xs),
+                              [_psi1p_minus_psi1(float(x)) for x in xs])
+
+    def test_continuous_across_the_series_switch(self):
+        from miposterior.moments import _SERIES_TOTAL
+
+        base = np.array([[1.0, 3.0], [2.0, 1.0]]) / 7.0
+        below = mean_exact(posterior(base * _SERIES_TOTAL * (1 - 1e-9)))
+        above = mean_exact(posterior(base * _SERIES_TOTAL * (1 + 1e-9)))
+        assert below == pytest.approx(above, rel=1e-8, abs=0.0)
+
 
 class TestExpansions:
     def test_mean_o2_all_ones(self):
@@ -477,6 +511,37 @@ class TestCachedPointStats:
 
 
 class TestShapeRegime:
+    # An exactly independent 3x3 table (an outer product): its plug-in
+    # log-ratios are rounding noise, which read var_o1 9.9e-51 in one row
+    # order and 0.0 in another.
+    INDEPENDENT = np.array([
+        [28.241885084859895, 107.70630116875563, 167.09048425046842],
+        [64.81540397383893, 247.1870202645677, 383.474304365197],
+        [10.228735988827058, 39.00941157709416, 60.51736435113342]])
+
+    @pytest.mark.parametrize("rows", [(0, 1, 2), (0, 2, 1), (2, 1, 0)])
+    def test_independent_table_is_shape_degenerate_in_every_row_order(self, rows):
+        for counts in (self.INDEPENDENT[list(rows)], self.INDEPENDENT[list(rows)].T):
+            s = summarize(posterior(np.ascontiguousarray(counts)))
+            assert s.var_o1 == 0.0 and s.central4 == 0.0
+            assert "shape_degenerate" in s.flags
+            assert math.isnan(s.skewness) and math.isnan(s.kurtosis)
+
+    def test_constant_log_ratio_is_shape_degenerate(self):
+        # Two diagonal blocks of equal total, each an outer product: the
+        # log-ratio is log 2 on the whole support, so K = J^2 exactly.
+        counts = np.zeros((4, 5))
+        counts[:2, :3] = 7.3 * np.outer([0.3, 0.7], [0.2, 0.5, 0.3])
+        counts[2:, 3:] = 7.3 * np.outer([0.6, 0.4], [0.1, 0.9])
+        for order in ((0, 1, 2, 3), (3, 1, 2, 0), (2, 0, 3, 1)):
+            s = summarize(posterior(counts[list(order)]))
+            assert s.var_o1 == 0.0 and "shape_degenerate" in s.flags
+
+    def test_small_but_resolved_spread_keeps_its_variance(self):
+        # log-ratios spread by about 1e-6 are far above rounding
+        s = summarize(posterior([[1.0, 1.0 + 1e-6], [1.0, 1.0]]))
+        assert s.var_o1 > 0 and "shape_degenerate" not in s.flags
+
     def test_tiny_counts_raise_what_summarize_raises(self):
         # n = 4e-170: the third central moment overflows, so summarize raises
         # NumericPreconditionError, and skew_kurt raises the same error rather

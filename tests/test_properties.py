@@ -1,7 +1,8 @@
 """Property tests over random tables: 1x2 to 6x6, integer and fractional
 counts from 0 to 1000, under the four named priors. Subnormal counts are
-left out: a posterior total below about 1e-308 makes point_stats warn of
-overflow on its way to NumericPreconditionError."""
+left out: PosteriorCounts rejects a posterior total below the smallest
+normal double (about 2.2e-308) with NumericPreconditionError, which
+tests/test_cli.py pins (exit 3, no warning)."""
 
 import contextlib
 import io
@@ -81,11 +82,10 @@ def test_summarize_invariant_under_permutation_and_transpose(counts, prior, rnd)
             continue
         for key in ("mean_exact", "mean_o2", "var_o2", "i_max", "validity_ratio"):
             assert close(getattr(s, key), getattr(t, key)), key
-        assert s.flags.keys() - set(SHAPE_FLAGS) == t.flags.keys() - set(SHAPE_FLAGS)
+        assert s.flags.keys() == t.flags.keys()
         # On an independent table the plug-in log-ratios are rounding noise,
         # and so is every moment built on K - J^2: compare those above it.
         if min(c.stats.k, d.stats.k) > 1e-16:
-            assert s.flags.keys() == t.flags.keys()
             for key in ("var_o1", "central3", "central4", "skewness", "kurtosis"):
                 assert close(getattr(s, key), getattr(t, key)), key
 

@@ -393,3 +393,14 @@ def test_posterior_counts_checks_its_total():
         PosteriorCounts(np.full((2, 2), 1e308))
     with pytest.raises(ValidationError, match="total must be positive"):
         PosteriorCounts(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("counts", [
+    [[4.42196e-318, 0.0, 1.55917e-318], [9.186973e-318, 0.0, 0.0]],
+    [[1e-320, 2e-320]],  # a single row: I is 0, but the total is still subnormal
+])
+def test_subnormal_total_rejected(counts):
+    with pytest.raises(NumericPreconditionError, match="rescale them"):
+        PosteriorCounts(np.array(counts))
+    # the smallest normal total is accepted
+    assert PosteriorCounts(np.array([[2.2250738585072014e-308, 0.0]])).total > 0
