@@ -5,6 +5,12 @@ single passes over the table, the exact mean is a digamma sum, and the
 variance / third / fourth central-moment expansions combine the point
 statistics with shifted denominators (n+1) and (n+1)(n+2). A posterior
 computes its point statistics once, as ``PosteriorCounts.stats``.
+
+On small tables numpy's fixed cost per call outweighs the arithmetic, so
+point_stats masks zero cells only in tables that have them and sums with
+np.add.reduce (bit-identical to ndarray.sum). mean_exact avoids cancelling
+terms below a total of 1e-2 and from 1e7 up. point_mi and mean_var_from_cov
+reject non-finite entries and a misshapen covariance with ValidationError.
 """
 
 from __future__ import annotations
@@ -80,14 +86,26 @@ def i_max(c: PosteriorCounts) -> float:
     return min(math.log(c.r), math.log(c.s))
 
 
+def require_finite(a: np.ndarray, entry: str) -> None:
+    """Raise ValidationError naming the first non-finite cell of a, if any,
+    calling a cell `entry`."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        raise ValidationError("non-finite %s at cell (%s)"
+                              % (entry, ", ".join("%d" % i for i in bad)))
+
+
 def point_mi(q: np.ndarray) -> float:
     """Plug-in mutual information of a probability matrix, in nats.
 
-    Zero cells contribute 0 (the x log x limit).
+    Zero cells contribute 0 (the x log x limit). A non-finite entry raises
+    ValidationError naming its cell.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
         raise ValidationError("probability matrix must be 2-d")
+    require_finite(q, "probability")
     if np.any(q < 0):
         raise ValidationError("probabilities must be non-negative")
     total = q.sum()
@@ -115,38 +133,44 @@ def _finite(value: float, what: str) -> float:
 
 
 def point_stats(c: PosteriorCounts) -> PointStats:
-    """Compute J, K, L, M, P, Q and the row/column J vectors."""
+    """Compute J, K, L, M, P, Q and the row/column J vectors. Only a table with
+    zero cells pays for the masked log-ratio; np.add.reduce is the ufunc
+    behind ndarray.sum, so the sums round as before."""
     if _degenerate(c):
         return PointStats(
             0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
             np.zeros(c.r), np.zeros(c.s),
         )
     n = c.counts
-    pos = n > 0
-    # Empty rows and columns hold only zero cells; dividing those zeros by 1
-    # instead of 0 keeps every quotient finite.
-    rows = np.where(c.row_sums > 0, c.row_sums, 1.0)[:, None]
-    cols = np.where(c.col_sums > 0, c.col_sums, 1.0)
+    rows, cols = c.row_sums[:, None], c.col_sums
+    if not c.all_positive:
+        # Empty rows and columns hold only zero cells; dividing those zeros
+        # by 1 instead of 0 keeps every quotient finite.
+        rows = np.where(rows > 0, rows, 1.0)
+        cols = np.where(cols > 0, cols, 1.0)
     # log(n_ij n / (n_i+ n_+j)), 0 at zero cells, formed from the two factors
     # n_ij / n_i+ and n_+j / n that are each at most 1, so no product of
     # counts overflows.
     by_row = n / rows
     by_col = n / cols
     w = n / c.total
-    lr = np.log(by_row / (cols / c.total), out=np.zeros_like(n), where=pos)
+    lr = by_row / (cols / c.total)
+    lr = (np.log(lr, out=lr) if c.all_positive
+          else np.log(lr, out=np.zeros_like(n), where=n > 0))
+    add = np.add.reduce
     wl = w * lr
     wll = wl * lr
-    j = _finite(float(wl.sum()), "J")
-    k = _finite(float(wll.sum()), "K")
-    l = _finite(float((wll * lr).sum()), "L")
-    row_j = wl.sum(axis=1)
-    col_j = wl.sum(axis=0)
-    q = _finite(1.0 - float((by_row * by_col).sum()), "Q")
+    j = _finite(float(add(wl, axis=None)), "J")
+    k = _finite(float(add(wll, axis=None)), "K")
+    l = _finite(float(add(wll * lr, axis=None)), "L")
+    row_j = add(wl, axis=1)
+    col_j = add(wl, axis=0)
+    q = _finite(1.0 - float(add(by_row * by_col, axis=None)), "Q")
     if c.all_positive:
         # n_ij (1/n_ij - 1/n_i+ - 1/n_+j + 1/n), multiplied out
-        m = _finite(float(((1.0 - by_row - by_col + w) * lr).sum()), "M")
-        p = _finite(float(c.total * ((row_j**2 / c.row_sums).sum()
-                                     + (col_j**2 / c.col_sums).sum())), "P")
+        m = _finite(float(add((1.0 - by_row - by_col + w) * lr, axis=None)), "M")
+        p = _finite(float(c.total * (add(row_j**2 / c.row_sums)
+                                     + add(col_j**2 / c.col_sums))), "P")
     else:
         m = math.nan
         p = math.nan
@@ -170,8 +194,25 @@ def _psi1p_minus_psi1(x):
     return acc * x
 
 
+def _psi1p_minus_log(x):
+    """psi(1 + x) - log(x) for an array x > 0. From 100 up it is the
+    asymptotic series 1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6) +
+    1/(240x^8), whose truncation is below 1e-20 relative there."""
+    t = 1.0 / np.maximum(x, 100.0)
+    t2 = t * t
+    series = t * (0.5 - t * (1 / 12 - t2 * (1 / 120 - t2 * (1 / 252 - t2 / 240))))
+    return np.where(x >= 100.0, series, digamma(x + 1.0) - np.log(x))
+
+
+#: from this total up mean_exact sums J and psi(x + 1) - log(x) terms; below
+#: it the digamma sum is kept as it was, bit for bit (see README)
+_ASYMPTOTIC_TOTAL = 1e7
+
+
 def mean_exact(c: PosteriorCounts) -> float:
-    """Exact posterior mean of I: a digamma sum over cells and marginals."""
+    """Exact posterior mean of I: a digamma sum over cells and marginals,
+    rearranged below a total of _SERIES_TOTAL and from _ASYMPTOTIC_TOTAL up
+    so that its terms do not cancel to rounding."""
     if _degenerate(c):
         return 0.0
     n = c.counts
@@ -184,6 +225,17 @@ def mean_exact(c: PosteriorCounts) -> float:
         terms = (n / c.total) * (d(n) - d(c.row_sums)[:, None] - d(c.col_sums)
                                  + d(c.total))
         return math.fsum(memoryview(terms.ravel()))
+    if c.total >= _ASYMPTOTIC_TOTAL:
+        # The four psi(x + 1) of a term, each near log(N), cancel to rounding.
+        # Their logs sum to the cell's log-ratio, and the log-ratios, weighted
+        # by n_ij / N, sum to J; what is left, d(x) = psi(x + 1) - log(x), is
+        # of order 1/x. Zero cells and margins, of weight 0, are read as 1.
+        d = _psi1p_minus_log
+        cells, rows, cols = (np.where(a > 0, a, 1.0)
+                             for a in (n, c.row_sums, c.col_sums))
+        terms = (n / c.total) * (d(cells) - d(rows)[:, None] - d(cols) + d(c.total))
+        return _finite(c.stats.j + math.fsum(memoryview(terms.ravel())),
+                       "the exact mean")
     psi_margins = digamma(np.concatenate((c.row_sums, c.col_sums)) + 1.0)
     psi_rows = psi_margins[:c.r, None]
     psi_cols = psi_margins[c.r:]
@@ -283,10 +335,19 @@ def mean_var_from_cov(qhat: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
 
     This is the generic path: the mean adds the quadratic-curvature
     correction 1/2 sum (d d / q_ij - d/q_i+ - d/q_+j) Cov, the variance is the
-    quadratic form of the log-ratios with the covariance.
+    quadratic form of the log-ratios with the covariance. A probability
+    matrix that is not 2-d, a covariance whose shape is not (r, s, r, s) and
+    a non-finite entry of either raise ValidationError.
     """
     qhat = np.asarray(qhat, dtype=float)
     cov = np.asarray(cov, dtype=float)
+    if qhat.ndim != 2:
+        raise ValidationError("probability matrix must be 2-d")
+    if cov.shape != qhat.shape * 2:
+        raise ValidationError("covariance must have shape (r, s, r, s) = %s, got %s"
+                              % (qhat.shape * 2, cov.shape))
+    require_finite(qhat, "probability")
+    require_finite(cov, "covariance entry")
     if np.any(qhat <= 0):
         raise ValidationError("generic path requires strictly positive probabilities")
     qi = qhat.sum(axis=1)

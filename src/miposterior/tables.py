@@ -37,20 +37,20 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def _valid_grid(a, what: str = "table", entry: str = "entry") -> np.ndarray:
+def _valid_grid(a, what: str = "table", entry: str = "entry") -> tuple[np.ndarray, float]:
     """a as a read-only float array (see _read_only), checked to be a non-empty
-    2-d grid of finite, non-negative entries; the messages name the first bad
-    cell, calling the grid `what` and a cell `entry`."""
+    2-d grid of finite, non-negative entries, and its maximum; the messages
+    name the first bad cell, calling the grid `what` and a cell `entry`."""
     a = _read_only(a)
     if a.ndim != 2 or a.size == 0:
         raise ValidationError("%s must be a non-empty 2-d grid" % what)
-    if not np.all(np.isfinite(a)):
-        bad = np.argwhere(~np.isfinite(a))[0]
-        raise ValidationError("non-finite %s at cell (%d, %d)" % ((entry,) + tuple(bad)))
-    if np.any(a < 0):
+    top = np.maximum.reduce(a, axis=None)
+    # NaN fails both tests, -inf and +inf one each; only a failing grid is searched.
+    if not (np.minimum.reduce(a, axis=None) >= 0 and top < math.inf):
+        moments.require_finite(a, entry)
         bad = np.argwhere(a < 0)[0]
         raise ValidationError("negative %s at cell (%d, %d)" % ((entry,) + tuple(bad)))
-    return a
+    return a, top
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,9 @@ class CountsTable:
     counts: np.ndarray  # shape (r, s), non-negative floats
 
     def __post_init__(self):
-        a = _valid_grid(self.counts)
+        a, top = _valid_grid(self.counts)
         object.__setattr__(self, "counts", a)
-        if not np.any(a > 0):
+        if not top > 0:
             raise ValidationError("all-zero table: at least one count must be positive")
 
     @property
@@ -89,7 +89,7 @@ class PriorSpec:
         if self.kind == "custom":
             if self.matrix is None:
                 raise ValidationError("custom prior requires a pseudo-count matrix")
-            m = _valid_grid(self.matrix, "custom prior matrix", "custom prior entry")
+            m, _ = _valid_grid(self.matrix, "custom prior matrix", "custom prior entry")
             object.__setattr__(self, "matrix", m)
         elif self.kind not in NAMED_PRIORS:
             raise ValidationError(
@@ -108,13 +108,12 @@ class PriorSpec:
                     % (self.matrix.shape, r, s)
                 )
             return self.matrix
-        per_cell = {
-            "haldane": 0.0,
-            "perks": 1.0 / (r * s),
-            "jeffreys": 0.5,
-            "uniform": 1.0,
-        }[self.kind]
-        return np.full((r, s), per_cell)
+        return np.full((r, s), self._per_cell(r, s))
+
+    def _per_cell(self, r: int, s: int) -> float:
+        """The pseudo-count of every cell under a named prior."""
+        return {"haldane": 0.0, "perks": 1.0 / (r * s), "jeffreys": 0.5,
+                "uniform": 1.0}[self.kind]
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,9 @@ class PosteriorCounts:
         # Every cell and margin is at most the total, so testing the total
         # covers all overflow; numpy's overflow warnings would only repeat it.
         with np.errstate(over="ignore"):
-            total = float(n.sum())
-            row_sums = n.sum(axis=1)
-            col_sums = n.sum(axis=0)
+            total = float(np.add.reduce(n, axis=None))
+            row_sums = np.add.reduce(n, axis=1)
+            col_sums = np.add.reduce(n, axis=0)
         if not math.isfinite(total):
             raise NumericPreconditionError(
                 "the posterior total overflows double precision; the counts are "
@@ -159,7 +158,7 @@ class PosteriorCounts:
         col_sums.setflags(write=False)
         for name, value in (("counts", n), ("row_sums", row_sums),
                             ("col_sums", col_sums), ("total", total),
-                            ("all_positive", bool(np.all(n > 0)))):
+                            ("all_positive", bool(np.minimum.reduce(n, axis=None) > 0))):
             object.__setattr__(self, name, value)
 
     @property
@@ -183,7 +182,8 @@ class PosteriorCounts:
         return st
 
     def zero_cells(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in np.argwhere(self.counts == 0)]
+        i, j = np.nonzero(self.counts == 0)
+        return list(zip(i.tolist(), j.tolist()))
 
     def require_all_positive(self, what: str) -> None:
         """Raise ZeroCellError naming the zero cells, if there are any; `what`
@@ -198,8 +198,11 @@ def apply_prior(table: CountsTable, prior: PriorSpec) -> PosteriorCounts:
     read-only counts on without a copy."""
     if prior.kind == "haldane":
         return PosteriorCounts(table.counts)
-    with np.errstate(over="ignore"):  # PosteriorCounts names the overflow
-        n = table.counts + prior.pseudo_counts(table.r, table.s)
+    if prior.kind == "custom":
+        with np.errstate(over="ignore"):  # PosteriorCounts names the overflow
+            n = table.counts + prior.pseudo_counts(table.r, table.s)
+    else:  # a finite count plus at most 1 cannot overflow
+        n = table.counts + prior._per_cell(table.r, table.s)
     n.setflags(write=False)
     return PosteriorCounts(n)
 

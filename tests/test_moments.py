@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestPointMi:
             point_mi(np.array([[0.5, -0.1], [0.3, 0.3]]))
         with pytest.raises(ValidationError):
             point_mi(np.array([[0.5, 0.4], [0.3, 0.3]]))
+
+    @pytest.mark.parametrize("q, cell", [
+        ([[math.nan, 0.5], [0.25, 0.25]], "(0, 0)"),
+        ([[0.5, 0.25], [math.inf, 0.25]], "(1, 0)"),
+        ([[0.5, -math.inf], [0.25, 0.25]], "(0, 1)"),
+    ])
+    def test_non_finite_entry_named(self, q, cell):
+        # NaN fails both the sign test and the sum test, so it read as nan.
+        with pytest.raises(ValidationError,
+                           match=r"^non-finite probability at cell %s$" % re.escape(cell)):
+            point_mi(np.array(q))
 
     def test_range(self):
         rng = np.random.default_rng(8)
@@ -157,6 +169,54 @@ class TestMeanExact:
         below = mean_exact(posterior(base * _SERIES_TOTAL * (1 - 1e-9)))
         above = mean_exact(posterior(base * _SERIES_TOTAL * (1 + 1e-9)))
         assert below == pytest.approx(above, rel=1e-8, abs=0.0)
+
+
+    # Haldane tables on which the digamma sum read -7.1e-15 and -1.1e-13,
+    # and one on which it read 1.2499939e-9.
+    @pytest.mark.parametrize("per_cell, want", [
+        (1e20, 1.25e-21), (1e300, 1.25e-301), (1e8, 1.2499999953125e-9)])
+    def test_large_totals_keep_the_mean(self, per_cell, want):
+        # For the all-equal 2x2 the mean is d(n) - 2 d(2n) + d(4n), with
+        # d(x) = psi(x + 1) - log(x): 1/(8n) - 3/(64n^2) + O(n^-4).
+        got = mean_exact(posterior(np.full((2, 2), per_cell)))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_large_totals_match_mpmath(self):
+        from miposterior.moments import _ASYMPTOTIC_TOTAL
+
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2005)
+        tables = [np.full((2, 2), 0.25), np.array([[0.1, 0.3, 0.05], [0.2, 0.15, 0.2]])]
+        tables += [rng.dirichlet(np.ones(r * s)).reshape(r, s)
+                   for r, s in ((2, 3), (4, 4), (3, 6))]
+        zero = np.array([[0.3, 0.0, 0.2], [0.1, 0.25, 0.0], [0.0, 0.0, 0.15]])
+        for total in (_ASYMPTOTIC_TOTAL, 3.7e9, 1e20, 4e100, 1e300):
+            for base in tables + [zero]:
+                for kind in ("haldane", "jeffreys"):
+                    c = posterior(base * total, kind)
+                    assert mean_exact(c) == pytest.approx(
+                        _mpmath_mean(mpmath, c), rel=1e-12, abs=0.0), (total, base)
+
+    def test_continuous_across_the_asymptotic_switch(self):
+        from miposterior.moments import _ASYMPTOTIC_TOTAL
+
+        base = np.array([[1.0, 3.0, 2.0], [2.0, 1.0, 5.0]]) / 14.0
+        below = mean_exact(posterior(base * _ASYMPTOTIC_TOTAL * (1 - 1e-9)))
+        above = mean_exact(posterior(base * _ASYMPTOTIC_TOTAL * (1 + 1e-9)))
+        assert below == pytest.approx(above, rel=1e-8, abs=0.0)
+
+
+def _mpmath_mean(mpmath, c):
+    """The digamma sum of the exact mean, at enough digits to resolve a mean
+    of order 1/total against terms of order log(total)."""
+    r = c.r
+    with mpmath.workdps(40 + int(math.log10(c.total))):
+        psi1 = [mpmath.digamma(mpmath.mpf(float(v)) + 1)
+                for v in (*c.row_sums, *c.col_sums, c.total)]
+        return float(mpmath.fsum(
+            nij * (mpmath.digamma(mpmath.mpf(float(nij)) + 1)
+                   - psi1[i] - psi1[r + j] + psi1[-1])
+            for (i, j), nij in np.ndenumerate(c.counts)) / c.total)
 
 
 class TestExpansions:
@@ -289,6 +349,23 @@ class TestCovariancePath:
         q = np.array([[0.5, 0.5], [0.0, 0.0]])
         with pytest.raises(ValidationError):
             mean_var_from_cov(q, np.zeros((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("q, cov, message", [
+        ([[math.nan, 0.5], [0.25, 0.25]], np.zeros((2, 2, 2, 2)),
+         "non-finite probability at cell (0, 0)"),
+        (np.full((2, 2), 0.25), np.full((2, 2, 2, 2), math.nan),
+         "non-finite covariance entry at cell (0, 0, 0, 0)"),
+        (np.full((2, 2), 0.25), np.zeros((3, 3)),
+         "covariance must have shape (r, s, r, s) = (2, 2, 2, 2), got (3, 3)"),
+        (np.full((2, 3), 1 / 6), np.zeros((3, 2, 3, 2)),
+         "covariance must have shape (r, s, r, s) = (2, 3, 2, 3), got (3, 2, 3, 2)"),
+        (np.full(4, 0.25), np.zeros((4, 4)), "probability matrix must be 2-d"),
+    ])
+    def test_bad_input_raises_validation_error(self, q, cov, message):
+        # These returned (nan, nan) or raised a bare IndexError.
+        with pytest.raises(ValidationError) as ei:
+            mean_var_from_cov(np.array(q), cov)
+        assert str(ei.value) == message
 
 
 class TestSummarize:
