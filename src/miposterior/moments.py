@@ -8,8 +8,15 @@ computes its point statistics once, as ``PosteriorCounts.stats``.
 
 On small tables numpy's fixed cost per call outweighs the arithmetic, so
 point_stats masks zero cells only in tables that have them and sums with
-np.add.reduce (bit-identical to ndarray.sum). mean_exact avoids cancelling
-terms below a total of 1e-2 and from 1e7 up. point_mi and mean_var_from_cov
+np.add.reduce (bit-identical to ndarray.sum). On large tables the cost is in
+the full-grid passes: point_stats forms its products in place, in at most
+four r x s arrays, and mean_exact forms its terms in place. From
+_VECTOR_CELLS cells up, mean_exact sums its terms with _sum, a vectorized
+sum rounded once as math.fsum rounds it, so it equals fsum bit for bit with
+no Python float per term; and _psi_cells evaluates digamma once per
+half-integer on tables whose cells are all multiples of 1/2. Every output is
+bit-identical to the plain expressions. mean_exact avoids cancelling terms
+below a total of 1e-2 and from 1e7 up. point_mi and mean_var_from_cov
 reject non-finite entries and a misshapen covariance with ValidationError.
 """
 
@@ -132,10 +139,14 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+@np.errstate(all="ignore")
 def point_stats(c: PosteriorCounts) -> PointStats:
     """Compute J, K, L, M, P, Q and the row/column J vectors. Only a table with
     zero cells pays for the masked log-ratio; np.add.reduce is the ufunc
-    behind ndarray.sum, so the sums round as before."""
+    behind ndarray.sum, so the sums round as before. Counts that span
+    hundreds of orders of magnitude can underflow a ratio to 0 and its log
+    to -inf; floating-point warnings are off, and _finite names the
+    statistic that came out inf or NaN."""
     if _degenerate(c):
         return PointStats(
             0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -153,27 +164,45 @@ def point_stats(c: PosteriorCounts) -> PointStats:
     # counts overflows.
     by_row = n / rows
     by_col = n / cols
-    w = n / c.total
     lr = by_row / (cols / c.total)
     lr = (np.log(lr, out=lr) if c.all_positive
           else np.log(lr, out=np.zeros_like(n), where=n > 0))
     add = np.add.reduce
-    wl = w * lr
-    wll = wl * lr
-    j = _finite(float(add(wl, axis=None)), "J")
-    k = _finite(float(add(wll, axis=None)), "K")
-    l = _finite(float(add(wll * lr, axis=None)), "L")
+    # Four full-grid arrays at most. Each product below is formed in an
+    # array no longer needed, in the order of operations of the expression
+    # it stands for, so every sum rounds as before.
+    buf = by_row * by_col
+    q = 1.0 - float(add(buf, axis=None))
+    if c.all_positive:
+        # n_ij (1/n_ij - 1/n_i+ - 1/n_+j + 1/n) lr, multiplied out:
+        # (1 - by_row - by_col + w) lr, with w = n / N in by_col's place
+        np.subtract(1.0, by_row, out=buf)
+        buf -= by_col
+        w = np.divide(n, c.total, out=by_col)
+        buf += w
+        buf *= lr
+        m = float(add(buf, axis=None))
+    else:
+        w = np.divide(n, c.total, out=by_col)
+        m = math.nan
+    wl = np.multiply(w, lr, out=w)  # then w lr^2 and w lr^3 in its place
+    j = float(add(wl, axis=None))
     row_j = add(wl, axis=1)
     col_j = add(wl, axis=0)
-    q = _finite(1.0 - float(add(by_row * by_col, axis=None)), "Q")
+    wl *= lr
+    k = float(add(wl, axis=None))
+    wl *= lr
+    l = float(add(wl, axis=None))
+    checked = (j, k, l, q)
     if c.all_positive:
-        # n_ij (1/n_ij - 1/n_i+ - 1/n_+j + 1/n), multiplied out
-        m = _finite(float(add((1.0 - by_row - by_col + w) * lr, axis=None)), "M")
-        p = _finite(float(c.total * (add(row_j**2 / c.row_sums)
-                                     + add(col_j**2 / c.col_sums))), "P")
+        p = float(c.total * (add(row_j**2 / c.row_sums)
+                             + add(col_j**2 / c.col_sums)))
+        checked += (m, p)
     else:
-        m = math.nan
         p = math.nan
+    if not math.isfinite(sum(checked)):  # raise on the first that is not
+        for value, what in zip(checked, "JKLQMP"):
+            _finite(value, what)
     return PointStats(j, k, l, m, p, q, row_j, col_j)
 
 
@@ -208,6 +237,76 @@ def _psi1p_minus_log(x):
 #: it the digamma sum is kept as it was, bit for bit (see README)
 _ASYMPTOTIC_TOTAL = 1e7
 
+#: from this many cells up _sum extracts exact parts in numpy instead of
+#: handing every term to math.fsum, and _psi_cells looks digamma up on a
+#: half-integer grid; below it numpy's fixed cost per call outweighs the saving
+_VECTOR_CELLS = 1024
+#: extraction passes before _sum hands what is left to math.fsum
+_SUM_PASSES = 6
+
+
+def _sum(terms: np.ndarray) -> float:
+    """math.fsum(terms), bit for bit: the exact sum of the entries, rounded
+    once. Overwrites terms.
+
+    From _VECTOR_CELLS entries up it takes Rump, Ogita and Oishi's
+    error-free extraction ("Accurate floating-point summation, Part I",
+    SIAM J. Sci. Comput. 31, 2008). Take sigma a power of 2 at least
+    size + 2 times every |p|. Then q = (p + sigma) - sigma is p rounded to
+    a multiple of 2^-53 sigma, p - q is exact, and the q add up to less
+    than sigma, so numpy sums them with no rounding, in any order. Each
+    pass moves one exact part of the sum into `parts` and leaves p - q,
+    smaller than the last p by about 2^-52 (size + 2). fsum of the parts
+    rounds their exact sum, which is the exact sum of the terms, once.
+    A top entry beyond 2^+-900 (where sigma or its ulp would leave the
+    normal range), inf, NaN and what is left after _SUM_PASSES passes go
+    to fsum as they are, which keeps the sum exact.
+    """
+    p = terms.reshape(-1)
+    if p.size < _VECTOR_CELLS:
+        # fsum rounds the sum once; a memoryview hands it Python floats
+        # without building a list.
+        return math.fsum(memoryview(p))
+    n2 = float(1 << (p.size + 1).bit_length())
+    q = np.empty_like(p)
+    parts = []
+    for _ in range(_SUM_PASSES):
+        # minimum and maximum both propagate NaN, so top is NaN if p holds one
+        top = max(-np.minimum.reduce(p), np.maximum.reduce(p))
+        if top == 0.0:
+            return math.fsum(parts)
+        if not 2.0**-900 <= top <= 2.0**900:
+            break
+        sigma = math.ldexp(n2, math.frexp(top)[1])
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        parts.append(float(np.add.reduce(q)))
+    return math.fsum(parts + p[p != 0].tolist())
+
+
+def _psi_cells(n: np.ndarray) -> np.ndarray:
+    """digamma(n + 1.0), bit for bit.
+
+    Integer counts under Haldane, Jeffreys or uniform are multiples of 1/2,
+    and a large table repeats few of them. From _VECTOR_CELLS cells up,
+    when every 2 n_ij is an integer below the number of cells, digamma is
+    evaluated once per half-integer from 0 to the largest cell and looked
+    up: the same doubles passed to the same ufunc, so the same values.
+    """
+    if n.size >= _VECTOR_CELLS:
+        k = n * 2.0
+        top = float(np.maximum.reduce(k, axis=None))
+        if top < n.size:
+            index = k.astype(np.intp)
+            k -= index
+            if not k.any():
+                grid = digamma(np.arange(int(top) + 1) * 0.5 + 1.0)
+                # every index is in range; the default mode="raise" would
+                # write the result to a copy first
+                return np.take(grid, index, out=k, mode="clip")
+    return digamma(n + 1.0)
+
 
 def mean_exact(c: PosteriorCounts) -> float:
     """Exact posterior mean of I: a digamma sum over cells and marginals,
@@ -224,7 +323,7 @@ def mean_exact(c: PosteriorCounts) -> float:
         d = _psi1p_minus_psi1
         terms = (n / c.total) * (d(n) - d(c.row_sums)[:, None] - d(c.col_sums)
                                  + d(c.total))
-        return math.fsum(memoryview(terms.ravel()))
+        return _sum(terms)
     if c.total >= _ASYMPTOTIC_TOTAL:
         # The four psi(x + 1) of a term, each near log(N), cancel to rounding.
         # Their logs sum to the cell's log-ratio, and the log-ratios, weighted
@@ -234,17 +333,16 @@ def mean_exact(c: PosteriorCounts) -> float:
         cells, rows, cols = (np.where(a > 0, a, 1.0)
                              for a in (n, c.row_sums, c.col_sums))
         terms = (n / c.total) * (d(cells) - d(rows)[:, None] - d(cols) + d(c.total))
-        return _finite(c.stats.j + math.fsum(memoryview(terms.ravel())),
-                       "the exact mean")
+        return _finite(c.stats.j + _sum(terms), "the exact mean")
     psi_margins = digamma(np.concatenate((c.row_sums, c.col_sums)) + 1.0)
-    psi_rows = psi_margins[:c.r, None]
-    psi_cols = psi_margins[c.r:]
     # Zero cells contribute 0 * psi(1) = 0, so the whole grid can be summed.
-    terms = n * (digamma(n + 1.0) - psi_rows - psi_cols + digamma(c.total + 1.0))
-    # fsum rounds the sum once; a memoryview hands it Python floats without
-    # building a list.
-    return _finite(math.fsum(memoryview(terms.ravel())) / c.total,
-                   "the exact mean")
+    # In place, in the order of n * (psi(n + 1) - rows - cols + psi(N + 1)).
+    terms = _psi_cells(n)
+    terms -= psi_margins[:c.r, None]
+    terms -= psi_margins[c.r:]
+    terms += digamma(c.total + 1.0)
+    terms *= n
+    return _finite(_sum(terms) / c.total, "the exact mean")
 
 
 def mean_o2(c: PosteriorCounts) -> float:

@@ -3,19 +3,23 @@ replaced.
 
 _valid_grid, point_stats and mean_exact take a cheaper route on the common
 input: one min/max test for a valid grid, an unmasked log-ratio without zero
-cells, np.add.reduce for ndarray.sum, and a scalar pseudo-count for a named
-prior. Their earlier forms are frozen below. On seeded tables every count,
-margin, point statistic, summary field and flag must match them bit for bit,
-and every bad input must raise the same error with the same message.
+cells, np.add.reduce for ndarray.sum, a scalar pseudo-count for a named
+prior, full-grid products formed in place, and on large tables a vectorized
+correctly rounded sum and a half-integer digamma lookup. Their earlier forms
+are frozen below. On seeded tables every count, margin, point statistic,
+summary field and flag must match them bit for bit, and every bad input must
+raise the same error with the same message.
 """
 
 import math
 import struct
+import sys
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from miposterior import (
     CountsTable,
@@ -106,6 +110,13 @@ def _mean_exact_ref(c):
         terms = (n / c.total) * (d(n) - d(c.row_sums)[:, None] - d(c.col_sums)
                                  + d(c.total))
         return math.fsum(memoryview(terms.ravel()))
+    if c.total >= moments._ASYMPTOTIC_TOTAL:
+        d = moments._psi1p_minus_log
+        cells, rows, cols = (np.where(a > 0, a, 1.0)
+                             for a in (n, c.row_sums, c.col_sums))
+        terms = (n / c.total) * (d(cells) - d(rows)[:, None] - d(cols) + d(c.total))
+        return moments._finite(c.stats.j + math.fsum(memoryview(terms.ravel())),
+                               "the exact mean")
     digamma = moments.digamma
     psi_margins = digamma(np.concatenate((c.row_sums, c.col_sums)) + 1.0)
     terms = n * (digamma(n + 1.0) - psi_margins[:c.r, None] - psi_margins[c.r:]
@@ -258,3 +269,150 @@ class TestFastPathParity:
         got = _outcome(_current, [[1e308, 1.0], [1.0, 1.0]], "custom", matrix)
         assert got[:2] == ("error", NumericPreconditionError)
         assert "total overflows" in got[2]
+
+
+# --------------------------------------------------------------------------
+# Large tables: moments._sum against math.fsum, moments._psi_cells against
+# digamma(n + 1.0), and point_stats and mean_exact against the frozen code
+# on tables of _VECTOR_CELLS cells and more.
+
+
+def _adversarial_vectors():
+    """(name, vector) pairs on which a naive sum loses bits."""
+    rng = np.random.default_rng(1401)
+    signs = rng.choice([-1.0, 1.0], size=5000)
+    yield "exponents 1e-300 to 1e300", signs * 10.0 ** rng.uniform(-300, 300, 5000)
+    yield "exponents 2^-800 to 2^800", signs * np.ldexp(
+        rng.uniform(1.0, 2.0, 5000), rng.integers(-800, 800, 5000))
+    x = rng.normal(size=2500) * 10.0 ** rng.uniform(-20, 20, 2500)
+    yield "cancelling pairs", rng.permutation(np.concatenate((x, -x)))
+    yield "cancelling pairs and a residue", rng.permutation(
+        np.concatenate((x, -x, [1e-30])))
+    yield "large and tiny", rng.permutation(
+        np.concatenate((signs[:2000] * 1e16, [1.0, -0.5, 2.0**-60] * 100)))
+    yield "subnormals", signs[:3000] * 5e-324 * rng.integers(1, 1 << 40, 3000)
+    yield "subnormals and normals", rng.permutation(np.concatenate((
+        signs[:2000] * 5e-324 * rng.integers(1, 1000, 2000),
+        rng.normal(size=1000) * 1e-300)))
+    yield "near 2^1000", signs[:2000] * np.ldexp(rng.uniform(1.0, 2.0, 2000), 1000)
+    yield "overflowing", np.full(2000, sys.float_info.max)
+    yield "inf", np.concatenate((rng.normal(size=2000), [math.inf]))
+    yield "inf and -inf", np.concatenate((rng.normal(size=2000), [math.inf, -math.inf]))
+    yield "nan", np.concatenate(([math.nan], rng.normal(size=2000)))
+    yield "all zeros", np.zeros(3000)
+    yield "signed zeros", np.array([0.0, -0.0] * 1500)
+    yield "negative zeros", np.full(3000, -0.0)
+    yield "one element", np.array([-3.7e-200])
+    yield "one zero", np.array([-0.0])
+    yield "1,023 normals", rng.normal(size=1023) * 1e5
+    yield "1,024 normals", rng.normal(size=1024) * 1e5
+    yield "1,025 normals", rng.normal(size=1025) * 1e5
+    yield "90,000 mean_exact-like terms", (
+        rng.uniform(0.5, 400.0, 90000) * rng.normal(size=90000))
+    yield "2-d", rng.normal(size=(40, 60)) * 10.0 ** rng.uniform(-8, 8, (40, 60))
+
+
+class TestLargeTableParity:
+    @pytest.mark.parametrize("gate", [None, 1])
+    def test_sum_is_fsum_bit_for_bit(self, gate, monkeypatch):
+        # gate 1 runs the extraction on every vector, even the small ones
+        if gate is not None:
+            monkeypatch.setattr(moments, "_VECTOR_CELLS", gate)
+        for name, x in _adversarial_vectors():
+            want = _outcome(lambda v: math.fsum(v.ravel().tolist()), x)
+            got = _outcome(moments._sum, x.copy())
+            assert got == want, name
+
+    def test_sum_takes_the_extraction_from_the_gate_up(self, monkeypatch):
+        calls = []
+
+        class Math:  # math, with a record of what fsum is handed
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def fsum(self, xs):
+                xs = list(xs)
+                calls.append(len(xs))
+                return math.fsum(xs)
+
+        monkeypatch.setattr(moments, "math", Math())
+        x = np.ones(moments._VECTOR_CELLS)
+        assert moments._sum(x[1:].copy()) == x.size - 1.0
+        assert moments._sum(x.copy()) == x.size
+        assert calls == [x.size - 1, 1]  # every term, then one exact part
+
+    def _psi_calls(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(moments, "digamma",
+                            lambda a: sizes.append(np.size(a)) or digamma(a))
+        return sizes
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 1.0])
+    def test_psi_cells_on_half_integer_grids(self, offset, monkeypatch):
+        sizes = self._psi_calls(monkeypatch)
+        rng = np.random.default_rng(1402)
+        for shape in ((32, 32), (40, 60), (150, 150)):
+            n = rng.poisson(20.0, shape) + offset
+            n[0, 0] = 0.0
+            sizes.clear()
+            assert _bits(moments._psi_cells(n)) == _bits(digamma(n + 1.0))
+            assert sizes == [int(2 * n.max()) + 1]  # looked up
+
+    @pytest.mark.parametrize("case, looked_up", [
+        ("off the half grid", False), ("perks", False), ("below the gate", False),
+        ("top above size", False), ("top at size", False), ("top below size", True),
+    ])
+    def test_psi_cells_elsewhere(self, case, looked_up, monkeypatch):
+        sizes = self._psi_calls(monkeypatch)
+        n = np.random.default_rng(1403).poisson(3.0, (40, 40)).astype(float)
+        if case == "off the half grid":
+            n[7, 3] = 3.25
+        elif case == "perks":
+            n += 1.0 / n.size
+        elif case == "below the gate":
+            n = n[:31, :33]
+        else:  # the top of 2 n at, above or just below n.size
+            n[5, 5] = (n.size + {"at": 0, "above": 7, "below": -2}[case.split()[1]]) / 2
+        want = digamma(n + 1.0)
+        sizes.clear()
+        assert _bits(moments._psi_cells(n)) == _bits(want)
+        assert sizes == [n.size - 1 if looked_up else n.size]
+
+    @staticmethod
+    def _large_tables():
+        """40x40 to 150x150 tables: integer counts (some with zero cells, an
+        empty row or column, or counts too large for the half-integer
+        lookup), fractional counts, and totals below 1e-2 and from 1e7 up."""
+        rng = np.random.default_rng(1404)
+        for t in range(12):
+            r, s = (int(v) for v in rng.integers(40, 151, size=2))
+            counts = rng.poisson([0.7, 5.0, 40.0, 3000.0][t % 4], (r, s)).astype(float)
+            if t % 3 == 1:
+                counts[rng.integers(r)] = 0.0
+                counts[:, rng.integers(s)] = 0.0
+            yield counts
+            if t % 4 == 1:
+                yield counts * rng.uniform(0.5, 1.5, (r, s))
+            if t % 4 == 2:
+                yield counts * 10.0 ** rng.uniform(-12, -7)
+            if t % 4 == 3:
+                yield counts * 10.0 ** rng.uniform(2, 280)
+
+    @pytest.mark.parametrize("kind", ["haldane", "perks", "jeffreys", "uniform"])
+    def test_point_stats_and_mean_exact_bit_for_bit(self, kind):
+        totals = []
+        for counts in self._large_tables():
+            c = PosteriorCounts(_posterior_counts_ref(counts, kind))
+            totals.append(c.total)
+            want = _outcome(lambda post: _stats_bits(_point_stats_ref(post)), c)
+            assert want[0] == "value", want
+            got = _outcome(lambda post: _stats_bits(moments.point_stats(post)), c)
+            assert got == want
+            assert _outcome(moments.mean_exact, c) == _outcome(_mean_exact_ref, c)
+        # every mean_exact branch: only Haldane adds no pseudo-count
+        assert (min(totals) < moments._SERIES_TOTAL) == (kind == "haldane")
+        assert max(totals) >= moments._ASYMPTOTIC_TOTAL
+
+
+def _stats_bits(st):
+    return [_bits(getattr(st, f)) for f in "jklmpq"] + [_bits(st.row_j), _bits(st.col_j)]

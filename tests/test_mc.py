@@ -204,6 +204,9 @@ class TestChunkedBlocks:
     @pytest.mark.parametrize("shape, n, limit_mib", [
         ((5, 5), 98_304, 6.0),  # whole blocks: 16.3 MiB
         ((40, 40), 20_000, 8.0),  # whole blocks: 501 MiB, 2.5 MiB now
+        # One draw per chunk, margins by reshape sums: the (rs, 1 + r + s)
+        # margins matrix alone would take 413 MiB.
+        ((300, 300), 200, 4.0),
     ])
     def test_peak_memory_is_one_chunk(self, shape, n, limit_mib):
         import tracemalloc

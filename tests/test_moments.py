@@ -109,6 +109,16 @@ class TestPointStats:
         assert math.isfinite(st.j) and math.isfinite(st.k)
         assert math.isfinite(st.q)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_counts_spanning_the_double_range_raise_without_warning(self):
+        # 1e-320 / (1e4 + 1e-320) underflows to 0, so that cell's log-ratio
+        # is -inf and its weight 1e-320 / 2e10 is 0: J is NaN. The error
+        # names it, with no "divide by zero" or "invalid value" warning first.
+        c = posterior([[1e-320, 1e4], [1e10, 1e10]])
+        for fn in (point_stats, summarize):
+            with pytest.raises(NumericPreconditionError, match="J is nan"):
+                fn(c)
+
 
 class TestMeanExact:
     def test_all_ones_is_one_twelfth(self):
