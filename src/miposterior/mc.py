@@ -2,28 +2,32 @@
 moments of the mutual information with batch-means standard errors.
 
 Determinism contract: samples are generated in fixed-size blocks, each block
-from its own generator keyed by (seed, block index). Results therefore do not
-depend on how blocks would be distributed over workers, and a fixed
-(seed, N, counts) triple fully determines every output.
+from its own generator keyed by (seed, block index). The blocks run on the
+usable CPUs, one thread each at most, the calling thread among them; each
+block writes its own slice of the values of I. So no output depends on the
+thread count, and a fixed (seed, N, counts) triple fully determines every
+output.
 
 Each block is drawn and reduced in chunks of max(_CHUNK_CELLS, rs) gamma
 variates (_CHUNK_CELLS // rs draws, or one draw when rs is above
 _CHUNK_CELLS), so the working set is a small multiple of one chunk's
-doubles plus the N values of I and, on tables whose (rs, 1 + r + s) margins
-matrix holds at most _CHUNK_CELLS entries, that matrix. Larger tables form
-their margins by reshape sums, since the matrix grows as (rs)^1.5 (433 MB
-at 300x300) and a product of a chunk's few rows against it is slow. The
-generator fills the chunks in the order it would fill the whole block, so
-the variates are those of one whole-block draw and the (seed, block)
-contract is unchanged. Only the matrix product that forms the margins can
-round differently with the chunk's row count. That moves some draws' I in
-its last bits, by at most 1.9e-13 relative on the tables tried; many shapes
-are bit-identical.
+doubles per thread plus the N values of I and, on tables whose
+(rs, 1 + r + s) margins matrix holds at most _CHUNK_CELLS * 9 // 16
+entries, that matrix. Larger tables form their margins by reshape sums,
+since the matrix grows as (rs)^1.5 (433 MB at 300x300) and the product
+costs more per draw as the table grows. The generator fills the chunks in
+the order it would fill the whole block, so the variates are those of one
+whole-block draw and the (seed, block) contract is unchanged. Only the
+matrix product that forms the margins can round differently with the
+chunk's row count. That moves some draws' I in its last bits, by at most
+1.9e-13 relative on the tables tried; many shapes are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +72,20 @@ def sample_dirichlet(c: PosteriorCounts, rng: np.random.Generator) -> np.ndarray
 def _margins(r: int, s: int) -> np.ndarray | None:
     """The (r*s, 1+r+s) 0/1 matrix that maps a row-major r x s table to its
     total, its row sums and its column sums; None when it would hold more
-    than _CHUNK_CELLS entries. Near that size reshape sums overtake the
-    product, and they need no such matrix: for one chunk, 61 against
-    1,426 us on a 100x100 table (6 draws), but 669 against 49 us on a 5x5
-    (2,621 draws), on a 2-vCPU host with one BLAS thread."""
-    if r * s * (1 + r + s) > _CHUNK_CELLS:
+    than _CHUNK_CELLS * 9 // 16 (36,864) entries, from 27x27 on square
+    tables.
+
+    A chunk's product against the matrix takes about _CHUNK_CELLS (1 + r + s)
+    multiply-adds, so reshape sums, which need no matrix, overtake it as the
+    table grows. Per chunk, reshape sums took these shares of the product's
+    time with OpenBLAS at its default 2 threads (one thread in brackets):
+    1.03 to 1.08 at 26x26 (0.87), 0.90 at 27x27 (0.79), 0.91 at 29x29
+    (0.74) and 0.78 at 31x31 (0.71); with one thread they already won from
+    23x23 (0.92), and at 20x20 they took 1.13. On a 100x100 table (6 draws)
+    a chunk takes 61 against 1,426 us, on a 5x5 (2,621 draws) 669 against
+    49 us. Measured on a 2-vCPU host (tools/margins_stages.py).
+    """
+    if r * s * (1 + r + s) > _CHUNK_CELLS * 9 // 16:
         return None
     cells = np.arange(r * s)
     a = np.zeros((r * s, 1 + r + s))
@@ -128,13 +141,69 @@ def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
     d = x - mean
     d2 = d * d  # products, not d**3 and d**4, which take numpy's slow pow
     m2 = float(d2.mean())
-    m3 = float((d2 * d).mean())
-    m4 = float((d2 * d2).mean())
+    # The third and fourth powers reuse d's buffer.
+    m3 = float(np.multiply(d2, d, out=d).mean())
+    m4 = float(np.multiply(d2, d2, out=d).mean())
     n = x.size
     var = m2 * n / (n - 1)
     skew = m3 / m2**1.5 if m2 > 0 else math.nan
     kurt = m4 / (m2 * m2) if m2 > 0 else math.nan
     return mean, var, skew, kurt
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(n_blocks: int, run_block) -> None:
+    """run_block(k) for k = 0 .. n_blocks - 1, on up to min(n_blocks, usable
+    CPUs) threads, the calling thread among them; with one, it runs them all
+    in order.
+
+    Blocks are handed out in order. After an exception in any block
+    (KeyboardInterrupt on the calling thread included) no block starts;
+    every thread is joined, and then the exception of the lowest failed
+    block is raised: the one the serial loop would raise, since every lower
+    block had started.
+    """
+    workers = min(n_blocks, _usable_cpus())
+    lock = threading.Lock()
+    blocks = iter(range(n_blocks))
+    errors = {}
+
+    def work() -> None:
+        nonlocal blocks
+        while True:
+            with lock:
+                k = next(blocks, None)
+            if k is None:
+                return
+            try:
+                run_block(k)
+            except BaseException as exc:  # handed to the calling thread
+                with lock:
+                    errors[k] = exc
+                    blocks = iter(())
+                return
+
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(workers - 1)]
+    try:
+        for t in helpers:
+            t.start()
+        work()
+    finally:
+        with lock:  # an interrupt between blocks stops the helpers too
+            blocks = iter(())
+        for t in helpers:
+            if t.ident is not None:
+                t.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def mc_estimate(
@@ -146,7 +215,9 @@ def mc_estimate(
     """Monte Carlo moments of I from n_samples posterior draws.
 
     Standard errors come from 32 batch means; the histogram has 128
-    equal-width bins on [0, I_max].
+    equal-width bins on [0, I_max]. The sampling blocks run on up to
+    min(blocks, usable CPUs) threads, the calling thread among them, each
+    holding one chunk at a time; no output depends on the thread count.
     """
     if n_samples < 100:
         raise ValidationError("mc_estimate needs at least 100 samples")
@@ -157,9 +228,11 @@ def mc_estimate(
     rows = max(1, _CHUNK_CELLS // shapes.size)
     margins = _margins(c.r, c.s)
     values = np.empty(n_samples)
-    for start in range(0, n_samples, _BLOCK):
+
+    def run_block(k: int) -> None:
+        start = k * _BLOCK
         stop = min(start + _BLOCK, n_samples)
-        rng = np.random.default_rng([seed, start // _BLOCK])
+        rng = np.random.default_rng([seed, k])
         # The same variates as rng.gamma(shape=shapes, size=(stop - start,
         # rs)), without its scale multiply: the generator fills the chunks in
         # the order it would fill the whole block.
@@ -167,6 +240,8 @@ def mc_estimate(
             hi = min(lo + rows, stop)
             x = rng.standard_gamma(shapes, size=(hi - lo, shapes.size))
             values[lo:hi] = _mi_of_samples(x, c.r, c.s, margins)
+
+    _run_blocks(-(-n_samples // _BLOCK), run_block)
 
     mean, var, skew, kurt = _moments(values)
     per_batch = n_samples // _N_BATCHES
@@ -178,9 +253,10 @@ def mc_estimate(
 
     im = _i_max(c)
     hi = im if im > 0 else 1.0
-    counts, edges = np.histogram(np.clip(values, 0.0, hi), bins=_N_BINS,
-                                 range=(0.0, hi))
     tail = {float(t): float(np.mean(values > t)) for t in thresholds}
+    # The tails have read values, so the histogram may clip it in place.
+    counts, edges = np.histogram(np.clip(values, 0.0, hi, out=values),
+                                 bins=_N_BINS, range=(0.0, hi))
     return McEstimate(
         sample_count=n_samples,
         seed=seed,

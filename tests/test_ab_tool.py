@@ -3,6 +3,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -26,3 +28,16 @@ def test_ab_runs_each_copy_on_its_own_package(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[:3] == ["callable", "A", "us/call"]
     assert lines[1].split()[0] == "summarize" and len(lines) == 2
+
+
+@pytest.mark.parametrize("cases", sorted((ROOT / "tools").glob("*_stages.py")),
+                         ids=lambda p: p.name)
+def test_stage_cases_run(cases):
+    """Every cases file for tools/ab.py builds on the current tree, and each
+    of its callables runs once."""
+    ab = runpy.run_path(str(ROOT / "tools" / "ab.py"))
+    make = runpy.run_path(str(cases))["make"]
+    callables = make(ab["load_package"](SRC, "_ab_smoke_" + cases.stem))
+    assert callables
+    for fn in callables.values():
+        fn()

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -220,6 +224,205 @@ class TestChunkedBlocks:
         finally:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
+
+
+def _bits(est):
+    """Every field of an McEstimate; equal reprs are equal bits."""
+    return [getattr(est, f.name).tobytes() if isinstance(getattr(est, f.name), np.ndarray)
+            else repr(getattr(est, f.name)) for f in dataclasses.fields(est)]
+
+
+class TestThreadedBlocks:
+    # Blocks run on up to min(n_blocks, usable CPUs) threads, the calling
+    # thread among them; each keeps its generator and chunks, so no output
+    # depends on the thread count.
+
+    @pytest.mark.parametrize("shape, n", [
+        ((2, 2), 98_304),  # 3 whole blocks
+        ((4, 4), 70_000),  # a partial last block
+        ((20, 20), 40_000),  # chunks end inside blocks
+        ((3, 3), 1_000),  # one block: no thread
+    ])
+    def test_outputs_do_not_depend_on_the_cpu_count(self, monkeypatch, shape, n):
+        from miposterior import mc
+
+        c = posterior(np.random.default_rng(2).poisson(3.0, shape) + 1, "jeffreys")
+        threads = threading.active_count()
+        got = []
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+            got.append(_bits(mc_estimate(c, n, seed=6, thresholds=(0.05, 0.2))))
+            assert threading.active_count() == threads
+        assert got[1] == got[0] and got[2] == got[0] and got[3] == got[0]
+
+    def test_many_blocks_under_fast_thread_switching(self, monkeypatch):
+        from miposterior import mc
+
+        c = posterior([[3, 1, 2], [2, 5, 1]])
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        want = _bits(mc_estimate(c, 12 * mc._BLOCK + 5, seed=2))
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _bits(mc_estimate(c, 12 * mc._BLOCK + 5, seed=2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_blocks_run_side_by_side(self, monkeypatch):
+        from miposterior import mc
+
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+        barrier = threading.Barrier(3, timeout=10)  # breaks unless 3 blocks meet
+        idents = set()
+
+        def run_block(k):
+            idents.add(threading.get_ident())
+            barrier.wait()
+
+        mc._run_blocks(3, run_block)
+        assert len(idents) == 3 and threading.get_ident() in idents
+
+    @staticmethod
+    def _tagged(monkeypatch, c, n, seed, fail):
+        """Patch mc._mi_of_samples to note each block's first chunk and to
+        call fail(block) there; returns the list of blocks started."""
+        from miposterior import mc
+
+        shapes = c.counts.reshape(-1)
+        firsts = [np.random.default_rng([seed, k]).standard_gamma(shapes, size=shapes.size)
+                  for k in range(-(-n // mc._BLOCK))]
+        started = []
+        real = mc._mi_of_samples
+
+        def fake(x, r, s, margins):
+            for k, first in enumerate(firsts):
+                if np.array_equal(x[0], first):
+                    started.append(k)
+                    fail(k)
+            return real(x, r, s, margins)
+
+        monkeypatch.setattr(mc, "_mi_of_samples", fake)
+        return started
+
+    @staticmethod
+    def _joins(monkeypatch):
+        """Patch the threads of mc._run_blocks so that the returned Event is
+        set when the calling thread begins to join its helpers, which it
+        does only after it has recorded its own block's error."""
+        from miposterior import mc
+
+        joining = threading.Event()
+
+        class Thread(threading.Thread):
+            def join(self, timeout=None):
+                joining.set()
+                super().join(timeout)
+
+        monkeypatch.setattr(mc, "threading", types.SimpleNamespace(
+            Lock=threading.Lock, Thread=Thread))
+        return joining
+
+    @staticmethod
+    def _recorded(thread, caller, joining):
+        """Wait until `thread` has recorded the error of its block: a helper
+        ends right after, the calling thread then joins its helpers."""
+        if thread is caller:
+            assert joining.wait(timeout=10)
+        else:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_error_of_the_lowest_block_is_raised(self, monkeypatch, cpus):
+        from miposterior import mc
+
+        class Tagged(Exception):
+            pass
+
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        joining = self._joins(monkeypatch)
+        caller = threading.current_thread()
+        c = posterior([[3, 1], [2, 5]])
+        block_2 = []  # the thread that runs block 2
+        block_2_failed = threading.Event()
+        first = threading.Barrier(cpus, timeout=10)
+
+        def fail(k):
+            if k < cpus:
+                first.wait()  # the first `cpus` blocks start before any fails
+            if k == 2:
+                block_2.append(threading.current_thread())
+                block_2_failed.set()
+                raise Tagged(2)
+            if cpus > 1 and (k == 1 or cpus > 2):
+                # Blocks that run beside block 2 end after its thread has
+                # recorded the error.
+                assert block_2_failed.wait(timeout=10)
+                self._recorded(block_2[0], caller, joining)
+            if k == 1:
+                raise Tagged(1)
+
+        started = self._tagged(monkeypatch, c, 5 * mc._BLOCK, 4, fail)
+        threads = threading.active_count()
+        with pytest.raises(Tagged) as ei:
+            mc_estimate(c, 5 * mc._BLOCK, seed=4)
+        assert ei.value.args == (1,)
+        assert sorted(started) == ([0, 1] if cpus == 1 else [0, 1, 2])
+        assert threading.active_count() == threads
+
+    def test_error_on_a_helper_stops_the_calling_thread(self, monkeypatch):
+        from miposterior import mc
+
+        class Tagged(Exception):
+            pass
+
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        caller = threading.current_thread()
+        caller_started, failed = threading.Event(), threading.Event()
+        helper = []
+        started = []
+
+        def run_block(k):
+            started.append(k)
+            if threading.current_thread() is caller:
+                caller_started.set()
+                assert failed.wait(timeout=10)
+                helper[0].join(timeout=10)  # it ends once it has recorded its error
+            else:
+                assert caller_started.wait(timeout=10)
+                helper.append(threading.current_thread())
+                failed.set()
+                raise Tagged(k)
+
+        with pytest.raises(Tagged) as ei:
+            mc._run_blocks(10, run_block)
+        assert sorted(started) == [0, 1] and ei.value.args[0] in started
+
+    def test_interrupt_on_the_calling_thread_stops_the_blocks(self, monkeypatch):
+        from miposterior import mc
+
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        joining = self._joins(monkeypatch)
+        caller = threading.current_thread()
+        c = posterior([[3, 1], [2, 5]])
+        both = threading.Barrier(2, timeout=10)
+
+        def fail(k):
+            both.wait()  # blocks 0 and 1 start before the interrupt
+            if threading.current_thread() is caller:
+                raise KeyboardInterrupt
+            # The helper's block ends after the calling thread has recorded
+            # the interrupt.
+            assert joining.wait(timeout=10)
+
+        started = self._tagged(monkeypatch, c, 6 * mc._BLOCK, 4, fail)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            mc_estimate(c, 6 * mc._BLOCK, seed=4)
+        assert sorted(started) == [0, 1]
+        assert threading.active_count() == threads
 
 
 class TestUnderflowingDraws:

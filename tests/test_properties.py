@@ -1,4 +1,4 @@
-"""Property tests over random tables: 1x2 to 6x6, integer and fractional
+"""Property tests over random tables: 1x2 to 8x8, integer and fractional
 counts from 0 to 1000, under the four named priors. Subnormal counts are
 left out: PosteriorCounts rejects a posterior total below the smallest
 normal double (about 2.2e-308) with NumericPreconditionError, which
@@ -38,7 +38,7 @@ cells = st.one_of(st.integers(0, 1000).map(float),
 
 @st.composite
 def tables(draw):
-    r, s = draw(st.sampled_from([(r, s) for r in range(1, 7) for s in range(1, 7)
+    r, s = draw(st.sampled_from([(r, s) for r in range(1, 9) for s in range(1, 9)
                                  if r * s >= 2]))
     counts = draw(arrays(float, (r, s), elements=cells))
     assume(np.any(counts > 0))
