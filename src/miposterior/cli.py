@@ -7,6 +7,7 @@ byte-identical across runs for the same flags, input, and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,19 +60,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Values that _clean returns as they are; finite floats join them.
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
 def _clean(obj):
     """Make a report JSON-serializable: dataclasses to dicts, arrays to lists,
-    NaN/inf to None."""
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _clean(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
+    NaN/inf to None. An array is converted in one pass, and the plain values
+    of a dict, dataclass or list without a call each."""
+    if isinstance(obj, (float, np.floating)):
         v = float(obj)
         return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            obj = np.where(np.isfinite(obj), obj, None)
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): v if type(v) in _PLAIN or (type(v) is float and math.isfinite(v))
+                else _clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _PLAIN or (type(v) is float and math.isfinite(v))
+                else _clean(v) for v in obj]
+    if isinstance(obj, np.integer):
         return int(obj)
     if is_dataclass(obj):
         return _clean({f.name: getattr(obj, f.name) for f in fields(obj)})
@@ -194,8 +204,13 @@ def _print_text(report: dict, out) -> None:
             mc["variance"], mc["se_variance"]))
 
 
+# main's parser: built on the first call, then reused. Parsing leaves it
+# unchanged (append actions copy their default list).
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         report = _build_report(args)
     except (NumericPreconditionError, FitError) as exc:

@@ -5,8 +5,13 @@ Determinism contract: samples are generated in fixed-size blocks, each block
 from its own generator keyed by (seed, block index). The blocks run on the
 usable CPUs, one thread each at most, the calling thread among them; each
 block writes its own slice of the values of I. So no output depends on the
-thread count, and a fixed (seed, N, counts) triple fully determines every
-output.
+number of sampling threads. With the BLAS library's own thread count held
+fixed, a fixed (seed, N, counts) triple determines every output. The
+margins' matrix product (tables below 27x27, see _margins) may round
+differently at another BLAS thread count: on a 20x20 Jeffreys table at
+40,000 draws the variance differs in its last bits between
+OPENBLAS_NUM_THREADS=1 and 2, while the 5x5 and 12x9 tables tried give the
+same bits at both.
 
 Each block is drawn and reduced in chunks of max(_CHUNK_CELLS, rs) gamma
 variates (_CHUNK_CELLS // rs draws, or one draw when rs is above
@@ -227,7 +232,10 @@ def mc_estimate(
     shapes = c.counts.reshape(-1)
     rows = max(1, _CHUNK_CELLS // shapes.size)
     margins = _margins(c.r, c.s)
-    values = np.empty(n_samples)
+    try:
+        values = np.empty(n_samples)
+    except (ValueError, MemoryError):  # more values than numpy or memory holds
+        raise ValidationError("mc_estimate cannot hold %d samples" % n_samples) from None
 
     def run_block(k: int) -> None:
         start = k * _BLOCK

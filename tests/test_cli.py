@@ -163,6 +163,14 @@ def test_non_utf8_file_exit_2(capsys, table_csv, tmp_path, which):
     assert "is not UTF-8 text" in err
 
 
+def test_mc_count_too_large_to_hold_exit_2(capsys, table_csv):
+    # 10**20 draws exceed what numpy can address, so nothing is allocated.
+    code, out, err = run(capsys, ["--input", table_csv, "--mc", str(10**20)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: mc_estimate cannot hold %d samples\n" % 10**20
+
+
 def test_negative_mc_seed_exit_2(capsys, table_csv):
     code, out, err = run(capsys, ["--input", table_csv, "--mc", "1000",
                                   "--mc-seed", "-1"])

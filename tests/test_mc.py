@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 import types
@@ -91,6 +93,29 @@ class TestMcEstimate:
     def test_zero_cell_rejected(self):
         with pytest.raises(ZeroCellError):
             mc_estimate(posterior([[5, 0], [0, 5]]), 1000)
+
+    @pytest.mark.parametrize("n", [10**20, 2**63, 2**60])
+    def test_count_too_large_to_hold_rejected(self, n):
+        # Each count is beyond what numpy can address, so nothing is allocated.
+        with pytest.raises(ValidationError, match="cannot hold %d samples" % n):
+            mc_estimate(posterior([[1, 1], [1, 1]]), n)
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        # The margins of a 5x5 table come from a matrix product; at this size
+        # it rounds alike whatever the BLAS thread count.
+        code = ("import numpy as np, miposterior as mp\n"
+                "c = np.random.default_rng(4).poisson(3, size=(5, 5)) + 0.5\n"
+                "e = mp.mc_estimate(mp.apply_prior(mp.CountsTable(c), "
+                "mp.PriorSpec('jeffreys')), 40000, seed=5, thresholds=(0.1,))\n"
+                "print(repr((e.mean, e.variance, e.skewness, e.kurtosis, e.se_mean, "
+                "e.se_variance, e.se_skewness, e.se_kurtosis, e.tail, "
+                "e.hist_counts.tolist())))")
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, check=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                    "OMP_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert outs[0] == outs[1] and outs[0].startswith("(0.")
 
     def test_histogram_and_support(self):
         c = posterior([[4, 1], [1, 4]])
