@@ -17,10 +17,11 @@ import numpy as np
 
 from . import __version__
 from .errors import FitError, NumericPreconditionError, ValidationError
-from .fit import central_to_raw, fit_poly_ansatz, fit_two_moment, survival
+from .fit import (TWO_MOMENT_FAMILIES, central_to_raw, fit_poly_ansatz,
+                  fit_two_moment, survival)
 from .mc import mc_estimate
 from .moments import summarize
-from .tables import PriorSpec, apply_prior, parse_grid, parse_table
+from .tables import NAMED_PRIORS, PriorSpec, apply_prior, parse_grid, parse_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,13 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True, help="path to the contingency table")
     p.add_argument("--input-format", choices=("csv", "tsv", "json"), default="csv")
-    p.add_argument("--prior",
-                   choices=("haldane", "perks", "jeffreys", "uniform", "custom"),
-                   default="jeffreys")
+    p.add_argument("--prior", choices=NAMED_PRIORS + ("custom",), default="jeffreys")
     p.add_argument("--prior-matrix", default=None,
                    help="path to pseudo-count matrix (required with --prior custom)")
     p.add_argument("--var-order", choices=("1", "2", "auto"), default="auto")
-    p.add_argument("--fit", choices=("normal", "gamma", "lognormal", "ansatz", "none"),
+    p.add_argument("--fit", choices=TWO_MOMENT_FAMILIES + ("ansatz", "none"),
                    default="gamma")
     p.add_argument("--quantile", type=float, action="append", default=[],
                    metavar="X", help="report p(I > X); repeatable")
@@ -116,6 +115,9 @@ def _build_report(args) -> dict:
         prior = PriorSpec("custom", parse_grid(_read_text(args.prior_matrix),
                                                args.input_format))
     else:
+        if args.prior_matrix is not None:
+            raise ValidationError("--prior-matrix requires --prior custom, not --prior %s"
+                                  % args.prior)
         prior = PriorSpec(args.prior)
     post = apply_prior(table, prior)
     summary = summarize(post)

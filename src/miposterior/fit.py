@@ -5,7 +5,8 @@ inversions. The four-moment fit modulates a base density p0 with a quadratic,
     p(I) ∝ (1 + b I + c I^2) * p0(I | mu, s2),
 and solves algebraically for (b, c, mu, s2) so the first four raw moments
 match. The modulated density is a signed approximant: it may dip negative
-for extreme inputs, which is detected and reported rather than rejected.
+for extreme inputs, which is detected exactly and reported rather than
+rejected.
 """
 
 from __future__ import annotations
@@ -106,18 +107,6 @@ def fit_two_moment(mean: float, variance: float, family: str) -> FitResult:
             "unknown family %r; expected one of %s" % (family, TWO_MOMENT_FAMILIES)
         )
     return FitResult(family, params, raw)
-
-
-def _ansatz_raw(x: tuple, base: str, kmax: int = 4) -> list[float] | None:
-    """Raw moments 1..kmax of the modulated density, or None off-domain."""
-    b, c, mu, s2 = x
-    if s2 <= 0 or (base == "gamma" and mu <= 0):
-        return None
-    g = _tails(base, mu, s2, kmax + 2)
-    z = 1.0 + b * g[1] + c * g[2]
-    if abs(z) < 1e-12:
-        return None
-    return [(g[k] + b * g[k + 1] + c * g[k + 2]) / z for k in range(1, kmax + 1)]
 
 
 def _normal_bases(m1: float, var: float, k3: float, k4: float) -> list:
@@ -281,19 +270,40 @@ def _gamma_bases(m1: float, var: float, k3: float, k4: float) -> list:
     return out
 
 
-def _modulated(base: str, mu: float, s2: float, m1: float, m2: float):
-    """(b, c, mu, s2), with the (b, c) that give the modulated base density
-    the mean m1 and the second raw moment m2, or None if none do. With the
-    base fixed these two conditions are linear in (b, c); when the base solves
-    the orthogonal-polynomial conditions the third and fourth moments then
-    match as well."""
-    g = _tails(base, mu, s2, 4)
-    a11, a12, r1 = g[2] - m1 * g[1], g[3] - m1 * g[2], m1 - g[1]
-    a21, a22, r2 = g[3] - m2 * g[1], g[4] - m2 * g[2], m2 - g[2]
-    det = a11 * a22 - a12 * a21
-    if det == 0.0:
+def _candidate(base: str, mu: float, s2: float, m: tuple, solve: bool = True):
+    """(b, c, mu, s2, z, raw moments 1..4, residual) of the modulated base
+    density (1 + b x + c x^2) p0(x | mu, s2) / z, or None if no (b, c) exist
+    or z is near 0. With the base fixed, matching the mean m[0] and the second
+    raw moment m[1] is linear in (b, c); when the base solves the
+    orthogonal-polynomial conditions the third and fourth moments then match
+    as well. Without solve, b = c = 0: the base alone. The residual is the
+    largest relative miss of the moments m."""
+    g = _tails(base, mu, s2, 6)
+    b = c = 0.0
+    if solve:
+        m1, m2 = m[0], m[1]
+        a11, a12, r1 = g[2] - m1 * g[1], g[3] - m1 * g[2], m1 - g[1]
+        a21, a22, r2 = g[3] - m2 * g[1], g[4] - m2 * g[2], m2 - g[2]
+        det = a11 * a22 - a12 * a21
+        if det == 0.0:
+            return None
+        b, c = (r1 * a22 - a12 * r2) / det, (a11 * r2 - r1 * a21) / det
+    z = 1.0 + b * g[1] + c * g[2]
+    if abs(z) < 1e-12:
         return None
-    return (r1 * a22 - a12 * r2) / det, (a11 * r2 - r1 * a21) / det, mu, s2
+    raw = tuple((g[k] + b * g[k + 1] + c * g[k + 2]) / z for k in range(1, 5))
+    return b, c, mu, s2, z, raw, float(np.max(np.abs(np.asarray(raw) / m - 1.0)))
+
+
+def _nonnegative(x: tuple, hi: float) -> bool:
+    """Whether the candidate x's density q(t) p0(t) / z, q(t) = 1 + b t + c t^2,
+    is >= 0 for every t between 0 and hi. As q(0) = 1, exactly when z > 0,
+    q(hi) >= 0, and q has no negative vertex -b / (2c) strictly inside:
+    b^2 > 4c with 0 < -b hi < 2c hi^2 (the vertex between 0 and hi,
+    multiplied through by 2c hi^2; it also needs c > 0)."""
+    b, c, z = x[0], x[1], x[4]
+    return z > 0.0 and 1.0 + b * hi + c * hi * hi >= 0.0 and not (
+        0.0 < -b * hi < 2.0 * c * hi * hi and b * b > 4.0 * c)
 
 
 def fit_poly_ansatz(
@@ -328,42 +338,27 @@ def fit_poly_ansatz(
     var = m2 - m1 * m1
     if var <= 0:
         raise ValidationError("invalid moment sequence: m2 <= m1^2")
-    m = np.array([m1, m2, m3, m4])
+    m = (m1, m2, m3, m4)
     warnings = []
     hankel = np.array([[1.0, m1, m2], [m1, m2, m3], [m2, m3, m4]])
     if np.linalg.eigvalsh(hankel)[0] < -1e-14 * np.abs(hankel).max():
         # Realizable only by a signed density; the modulated ansatz is one.
         warnings.append("moment sequence is not classically realizable (indefinite Hankel)")
 
-    def residual(x) -> float:
-        mus = _ansatz_raw(x, base)
-        return math.inf if mus is None else float(np.max(np.abs(np.asarray(mus) / m - 1.0)))
-
-    def grid_max(x) -> float:
-        return support_max if support_max is not None else x[2] + 10.0 * math.sqrt(x[3])
-
-    def nonnegative(x) -> bool:
-        b, c, mu, s2 = x
-        g = _tails(base, mu, s2, 2)
-        grid = np.linspace(0.0, grid_max(x), 1024)
-        poly = 1.0 + b * grid + c * grid * grid
-        return bool(np.all(poly * np.sign(1.0 + b * g[1] + c * g[2]) >= 0))
-
-    plain = (0.0, 0.0, m1, var)
-    if residual(plain) <= 1e-8:
+    plain = _candidate(base, m1, var, m, solve=False)
+    if plain[6] <= 1e-8:
         candidates = [plain]
     else:
         k3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
         k4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
         bases = (_gamma_bases if base == "gamma" else _normal_bases)(m1, var, k3, k4)
-        candidates = [x for x in (_modulated(base, mu, s2, m1, m2) for mu, s2 in bases)
+        candidates = [x for x in (_candidate(base, mu, s2, m) for mu, s2 in bases)
                       if x is not None]
     best = math.inf
     roots = {}
     for x in candidates:
-        r = residual(x)
-        best = min(best, r)
-        if r <= 1e-8:
+        best = min(best, x[6])
+        if x[6] <= 1e-8:
             # A repeated polynomial root gives the same density twice.
             key = (round((x[2] - m1) / math.sqrt(var), 6), round(x[3] / var, 6))
             roots.setdefault(key, x)
@@ -373,29 +368,27 @@ def fit_poly_ansatz(
             "the 1e-8 residual contract (best residual %.3g)" % (base, best),
             residual=best,
         )
-    neg, _, x = min(((not nonnegative(x), abs(math.log(x[3] / var)), x)
-                     for x in roots.values()), key=lambda t: t[:2])
-    b, c, mu, s2 = x
-    g = _tails(base, mu, s2, 2)
-    z = 1.0 + b * g[1] + c * g[2]
+    ranked = []
+    for x in roots.values():
+        hi = x[2] + 10.0 * math.sqrt(x[3]) if support_max is None else support_max
+        ranked.append((not _nonnegative(x, hi), abs(math.log(x[3] / var)), hi, x))
+    neg, _, hi, (b, c, mu, s2, z, raw, residual) = min(ranked, key=lambda t: t[:2])
     params = {"b": b, "c": c, "mu": mu, "sigma2": s2, "base": base,
               "normalization": z}
     if base == "gamma":
         params["base_shape"] = mu * mu / s2
         params["base_scale"] = s2 / mu
 
-    hi = grid_max(x)
     if neg:
         warnings.append("fitted density dips negative on [0, %.6g]" % hi)
     diagnostics = {
         "roots_found": len(roots),
-        "residual": residual(x),
+        "residual": residual,
         "density_nonnegative": not neg,
         "nonnegativity_grid_max": hi,
         "warnings": warnings,
     }
-    return FitResult("poly_ansatz", params,
-                     tuple(_ansatz_raw(x, base)), diagnostics)
+    return FitResult("poly_ansatz", params, raw, diagnostics)
 
 
 def density(f: FitResult, x: np.ndarray) -> np.ndarray:

@@ -151,6 +151,15 @@ def test_negative_prior_matrix_names_cell(capsys, table_csv, tmp_path):
     assert "negative custom prior entry at cell (0, 0)" in err
 
 
+def test_prior_matrix_with_named_prior_exit_2(capsys, table_csv, tmp_path):
+    pm = tmp_path / "prior.csv"
+    pm.write_text("0.5,0.5\n0.5,0.5\n")
+    code, out, err = run(capsys, ["--input", table_csv, "--prior", "jeffreys",
+                                  "--prior-matrix", str(pm)])
+    assert code == 2 and out == ""
+    assert err == "error: --prior-matrix requires --prior custom, not --prior jeffreys\n"
+
+
 @pytest.mark.parametrize("which", ["--input", "--prior-matrix"])
 def test_non_utf8_file_exit_2(capsys, table_csv, tmp_path, which):
     bad = tmp_path / "bad.csv"
@@ -232,6 +241,27 @@ def test_ansatz_falls_back_to_normal_base(capsys, tmp_path):
     fit = json.loads(out)["fit"]
     assert fit["params"]["base"] == "normal"
     assert fit["diagnostics"]["residual"] <= 1e-8
+
+
+def test_ansatz_narrow_dip_reported(capsys, tmp_path):
+    # The fitted quadratic's negative dip is narrower than 1/1023 of the
+    # checked interval, so a 1024-point grid can step over it.
+    import numpy as np
+    from miposterior import FitResult, density
+
+    p = tmp_path / "t.csv"
+    p.write_text("17,10,19\n22,21,17\n10,8,2\n")
+    code, out, err = run(capsys, ["--input", str(p), "--fit", "ansatz"])
+    assert code == 0 and err == ""
+    fit = json.loads(out)["fit"]
+    b, c = fit["params"]["b"], fit["params"]["c"]
+    hi = fit["diagnostics"]["nonnegativity_grid_max"]
+    ts = [0.0, hi] + ([-b / (2.0 * c)] if c > 0 and 0.0 < -b / (2.0 * c) < hi else [])
+    f = FitResult(fit["family"], fit["params"], tuple(fit["moments_achieved"]))
+    values = density(f, np.array(ts))
+    assert fit["diagnostics"]["density_nonnegative"] == bool(np.all(values >= 0))
+    assert not fit["diagnostics"]["density_nonnegative"]
+    assert fit["diagnostics"]["warnings"] == ["fitted density dips negative on [0, %.6g]" % hi]
 
 
 def test_one_point_stats_pass_per_report(capsys, table_csv, monkeypatch):

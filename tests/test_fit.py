@@ -19,8 +19,8 @@ from miposterior import (
     summarize,
     survival,
 )
+from miposterior import fit as fit_module
 from miposterior.fit import (
-    _ansatz_raw,
     _tails,
     _poly_mul,
     _resultant,
@@ -29,21 +29,44 @@ from miposterior.fit import (
 )
 
 
-def cli_moments(rows):
-    """The raw moments and support bound that `--prior jeffreys --fit ansatz`
+def cli_moments(rows, prior="jeffreys"):
+    """The raw moments and support bound that `--prior PRIOR --fit ansatz`
     hands to the fit for a table."""
-    post = apply_prior(CountsTable(np.array(rows, dtype=float)), PriorSpec("jeffreys"))
+    post = apply_prior(CountsTable(np.array(rows, dtype=float)), PriorSpec(prior))
     s = summarize(post)
     var = s.var_o2 if math.isfinite(s.var_o2) and s.var_o2 > 0 else s.var_o1
     return central_to_raw(s.mean_exact, var, s.central3, s.central4), s.i_max * 1.05
 
 
-def nonnegative(x, base, hi):
+def modulated_raw(x, base):
+    """Raw moments 1..4 of (1 + b t + c t^2) p0(t | mu, s2) / z for
+    x = (b, c, mu, s2), or None off the base's domain or where z is about 0."""
     b, c, mu, s2 = x
-    grid = np.linspace(0.0, hi, 1024)
-    g1, g2 = _ansatz_raw((0.0, 0.0, mu, s2), base, 2)
-    return bool(np.all((1.0 + b * grid + c * grid * grid)
-                       * np.sign(1.0 + b * g1 + c * g2) >= 0))
+    if s2 <= 0 or (base == "gamma" and mu <= 0):
+        return None
+    g = _tails(base, mu, s2, 6)
+    z = 1.0 + b * g[1] + c * g[2]
+    if abs(z) < 1e-12:
+        return None
+    return [(g[k] + b * g[k + 1] + c * g[k + 2]) / z for k in range(1, 5)]
+
+
+def nonnegative(x, base, hi):
+    """Whether x = (b, c, mu, s2) has a density >= 0 on [0, hi]."""
+    b, c, mu, s2 = x
+    g = _tails(base, mu, s2, 2)
+    return quadratic_nonnegative(b, c, 1.0 + b * g[1] + c * g[2], hi)
+
+
+def quadratic_nonnegative(b, c, z, hi):
+    """Whether (1 + b t + c t^2) / z >= 0 for t between 0 and hi: the sign of
+    the quadratic is constant between its real roots, so it is read at 0, at
+    hi and halfway between neighbours among 0, hi and the roots between."""
+    lo, hi = sorted((0.0, hi))
+    roots = np.roots([c, b, 1.0])
+    ends = sorted([lo, hi] + [r.real for r in roots if r.imag == 0.0 and lo < r.real < hi])
+    ts = np.array(ends + [0.5 * (u + v) for u, v in zip(ends, ends[1:])])
+    return bool(np.all((1.0 + b * ts + c * ts * ts) / z >= 0.0))
 
 
 def roots_by_restarts(raw, base, starts=60):
@@ -55,7 +78,7 @@ def roots_by_restarts(raw, base, starts=60):
     m1, var = raw[0], raw[1] - raw[0] ** 2
 
     def resid(x):
-        mus = _ansatz_raw(x, base)
+        mus = modulated_raw(x, base)
         return 1e3 + np.abs(x) if mus is None else np.asarray(mus) / m - 1.0
 
     rng = np.random.default_rng(20011215)
@@ -67,6 +90,16 @@ def roots_by_restarts(raw, base, starts=60):
         if np.max(np.abs(resid(sol.x))) <= 1e-8:
             found.append(sol.x)
     return found
+
+
+def agrees_with_density(f):
+    """Whether the fit's density_nonnegative matches the sign of its density
+    at 0, at nonnegativity_grid_max and at the quadratic's vertex, if that
+    lies between them."""
+    b, c = f.params["b"], f.params["c"]
+    hi = f.diagnostics["nonnegativity_grid_max"]
+    ts = [0.0, hi] + ([-b / (2.0 * c)] if c > 0 and 0.0 < -b / (2.0 * c) < hi else [])
+    return f.diagnostics["density_nonnegative"] == bool(np.all(density(f, np.array(ts)) >= 0))
 
 
 class TestTwoMoment:
@@ -179,6 +212,9 @@ class TestPolyAnsatz:
             for got, want in zip(f.moments_achieved, raw):
                 assert abs(got / want - 1.0) <= 1e-8
             assert f.diagnostics["roots_found"] >= 1
+            p = f.params
+            assert f.diagnostics["density_nonnegative"] == nonnegative(
+                (p["b"], p["c"], p["mu"], p["sigma2"]), base, hi)
             if not f.diagnostics["density_nonnegative"]:
                 assert not any(nonnegative(x, base, hi)
                                for x in roots_by_restarts(raw, base))
@@ -186,6 +222,51 @@ class TestPolyAnsatz:
                 for t in (0.5 * raw[0], raw[0], 2.0 * raw[0]):
                     assert survival(f, t) == pytest.approx(survival_quad(f, t), abs=1e-8)
         assert fitted >= 20
+
+    @pytest.mark.parametrize("rows, prior, base", [
+        # a negative dip between two points of the former 1024-point grid
+        ([[9, 10], [22, 6], [0, 0], [5, 8]], "uniform", "gamma"),
+        ([[7, 4, 17, 5], [19, 16, 17, 2], [10, 8, 11, 9], [9, 3, 9, 2]],
+         "uniform", "normal"),
+        ([[4, 1, 4], [10, 6, 6], [3, 9, 10], [5, 2, 3]], "jeffreys", "gamma"),
+    ])
+    def test_narrow_dip_detected(self, rows, prior, base):
+        raw, hi = cli_moments(rows, prior)
+        f = fit_poly_ansatz(*raw, base=base, support_max=hi)
+        assert not f.diagnostics["density_nonnegative"]
+        assert agrees_with_density(f)
+
+    def test_nonnegative_matches_roots_reference(self):
+        rng = np.random.default_rng(11)
+        for k in range(4000):
+            b = rng.normal(0.0, 20.0)
+            # every other quadratic sits near a double root: a narrow dip or none
+            c = b * b / 4.0 * (1.0 + rng.uniform(-0.01, 0.01)) if k % 2 else rng.normal(0.0, 100.0)
+            z = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
+            hi = rng.uniform(-0.5, 2.0)
+            got = fit_module._nonnegative((b, c, 0.3, 0.01, z), hi)
+            assert got == quadratic_nonnegative(b, c, z, hi), (b, c, z, hi)
+
+    @pytest.mark.parametrize("base", ["gamma", "normal"])
+    def test_one_tails_call_per_candidate(self, base, monkeypatch):
+        tails, bases = [], []
+
+        def counted_tails(*args):
+            tails.append(args)
+            return _tails(*args)
+
+        find = {"gamma": fit_module._gamma_bases, "normal": fit_module._normal_bases}[base]
+
+        def counted_bases(*args):
+            bases.extend(find(*args))
+            return bases
+
+        monkeypatch.setattr(fit_module, "_tails", counted_tails)
+        monkeypatch.setattr(fit_module, "_%s_bases" % base, counted_bases)
+        raw = central_to_raw(0.2165, 0.0129, 1.03e-3, 7.1e-4)
+        fit_poly_ansatz(*raw, base=base)
+        # the base alone, then one call per base the moment equations give
+        assert len(bases) >= 1 and len(tails) == 1 + len(bases)
 
     def test_symmetric_moments_gamma_base(self):
         # The all-ones 2x2 table under Haldane: k3 = k4 = 0 leaves the
