@@ -17,18 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import special
 from .errors import FitError, ValidationError
 
 TWO_MOMENT_FAMILIES = ("normal", "gamma", "lognormal")
-
-
-def gammaincc(a, x):
-    """scipy.special.gammaincc. scipy.special takes about 0.3 s to import and
-    only the gamma tails need it here, so the first call imports it and
-    rebinds this name to it."""
-    global gammaincc
-    from scipy.special import gammaincc
-    return gammaincc(a, x)
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,8 @@ def _tails(base: str, mu: float, s2: float, kmax: int, t: float | None = None) -
             out.append(out[-1] * (shape + k - 1) * scale)
         if t is None:
             return out
-        return [g * float(gammaincc(shape + k, t / scale)) for k, g in enumerate(out)]
+        return [g * float(special.gammaincc(shape + k, t / scale))
+                for k, g in enumerate(out)]
     out, edge = [1.0], 0.0
     if t is not None:
         d = t - mu  # d * d overflows to inf where d ** 2 would raise
@@ -434,7 +427,7 @@ def survival(f: FitResult, i_star: float) -> float:
     if f.family == "normal":
         return _tails("normal", p["mean"], p["variance"], 0, i_star)[0]
     if f.family == "gamma":
-        return float(gammaincc(p["shape"], i_star / p["scale"]))
+        return float(special.gammaincc(p["shape"], i_star / p["scale"]))
     if f.family == "lognormal":
         t = math.log(i_star) if i_star > 0 else -math.inf
         return _tails("normal", p["log_mean"], p["log_variance"], 0, t)[0]

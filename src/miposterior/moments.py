@@ -29,19 +29,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import special
 from .errors import DegenerateError, NumericPreconditionError, ValidationError
 
 if TYPE_CHECKING:
     from .tables import PosteriorCounts
-
-
-def digamma(x):
-    """scipy.special.digamma. scipy.special takes about 0.3 s to import and
-    only the exact mean needs it here, so the first call imports it and
-    rebinds this name to it."""
-    global digamma
-    from scipy.special import digamma
-    return digamma(x)
 
 
 @dataclass(frozen=True)
@@ -230,7 +222,7 @@ def _psi1p_minus_log(x):
     t = 1.0 / np.maximum(x, 100.0)
     t2 = t * t
     series = t * (0.5 - t * (1 / 12 - t2 * (1 / 120 - t2 * (1 / 252 - t2 / 240))))
-    return np.where(x >= 100.0, series, digamma(x + 1.0) - np.log(x))
+    return np.where(x >= 100.0, series, special.digamma_ufunc(x + 1.0) - np.log(x))
 
 
 #: from this total up mean_exact sums J and psi(x + 1) - log(x) terms; below
@@ -301,11 +293,11 @@ def _psi_cells(n: np.ndarray) -> np.ndarray:
             index = k.astype(np.intp)
             k -= index
             if not k.any():
-                grid = digamma(np.arange(int(top) + 1) * 0.5 + 1.0)
+                grid = special.digamma_ufunc(np.arange(int(top) + 1) * 0.5 + 1.0)
                 # every index is in range; the default mode="raise" would
                 # write the result to a copy first
                 return np.take(grid, index, out=k, mode="clip")
-    return digamma(n + 1.0)
+    return special.digamma_ufunc(n + 1.0)
 
 
 def mean_exact(c: PosteriorCounts) -> float:
@@ -334,13 +326,13 @@ def mean_exact(c: PosteriorCounts) -> float:
                              for a in (n, c.row_sums, c.col_sums))
         terms = (n / c.total) * (d(cells) - d(rows)[:, None] - d(cols) + d(c.total))
         return _finite(c.stats.j + _sum(terms), "the exact mean")
-    psi_margins = digamma(np.concatenate((c.row_sums, c.col_sums)) + 1.0)
+    psi_margins = special.digamma_ufunc(np.concatenate((c.row_sums, c.col_sums)) + 1.0)
     # Zero cells contribute 0 * psi(1) = 0, so the whole grid can be summed.
     # In place, in the order of n * (psi(n + 1) - rows - cols + psi(N + 1)).
     terms = _psi_cells(n)
     terms -= psi_margins[:c.r, None]
     terms -= psi_margins[c.r:]
-    terms += digamma(c.total + 1.0)
+    terms += special.digamma_ufunc(c.total + 1.0)
     terms *= n
     return _finite(_sum(terms) / c.total, "the exact mean")
 

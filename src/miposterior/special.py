@@ -1,12 +1,15 @@
-"""Digamma function over positive reals with exact integer/half-integer paths.
+"""The package's special functions: psi (digamma) and Q(a, x), the
+regularized upper incomplete gamma function, plus exact harmonic tables.
 
-The general path lifts the argument with psi(x) = psi(x+1) - 1/x until it is
-large enough for the asymptotic series
-    psi(x) = log x - 1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6)
-             + 1/(240x^8) - 1/(132x^10) + ...
+Both come from scipy.special, which takes about 0.3 s to import, so this
+module imports it on first use: reading ``special.digamma_ufunc`` or
+``special.gammaincc`` binds scipy's ufunc as a module global, and every
+later read reaches the ufunc with no Python wrapper in between. Every
+module calls them through this one binding.
+
 Integer and half-integer arguments have closed forms in terms of harmonic
-sums, served up to 512 from lookup tables built when the module is imported;
-past the tables they take the series, whose error there is below 1e-15.
+sums, served exactly up to 512 from lookup tables built when the module is
+imported, without scipy; past the tables they take the same psi.
 """
 
 from __future__ import annotations
@@ -20,11 +23,8 @@ EULER_GAMMA = 0.57721566490153286
 
 _LOG2 = math.log(2.0)
 
-# Lift threshold 10 with Bernoulli terms through x^-12 keeps the truncation
-# error below 1e-15, comfortably inside the 1e-12 fast-path agreement budget.
-_LIFT = 10.0
-_BERN = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
-         -691.0 / 32760.0)
+#: module attribute -> the scipy.special ufunc it binds on first read
+_SCIPY = {"digamma_ufunc": "digamma", "gammaincc": "gammaincc"}
 
 _TABLE_MAX = 512
 # psi(m) and psi(m + 1/2) for m = 0.._TABLE_MAX (psi(0) is NaN), summed from
@@ -36,22 +36,24 @@ _INT_TABLE.setflags(write=False)
 _HALF_TABLE.setflags(write=False)
 
 
+def __getattr__(name: str):
+    """The ufunc bound to a name in _SCIPY. The first read imports
+    scipy.special and caches the ufunc as a module global, which later
+    reads of ``special.<name>`` find without calling this."""
+    if name not in _SCIPY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    if name not in globals():
+        import scipy.special
+
+        globals()[name] = getattr(scipy.special, _SCIPY[name])
+    return globals()[name]
+
+
 def digamma(x: float) -> float:
-    """psi(x) for x > 0, absolute error below 1e-12 for x >= 1e-6."""
+    """psi(x) for x > 0: scipy.special.digamma, as a float."""
     if not x > 0:
         raise ValueError("digamma requires x > 0, got %r" % (x,))
-    terms = []
-    while x < _LIFT:
-        terms.append(-1.0 / x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    p = inv2
-    for coeff in _BERN:
-        terms.append(-coeff * p)
-        p *= inv2
-    terms.append(math.log(x))
-    terms.append(-0.5 / x)
-    return math.fsum(terms)
+    return float(__getattr__("digamma_ufunc")(x))
 
 
 def digamma_integer(m: int) -> float:

@@ -22,11 +22,6 @@ NAMED_PRIORS = ("haldane", "perks", "jeffreys", "uniform")
 
 _FMT = "%.17g"
 
-#: csv/tsv text shorter than this is parsed cell by cell in Python. On short
-#: text np.loadtxt's fixed cost per call (about 15 us more with cold caches)
-#: exceeds its saving per cell; the two break even near 12x12 two-digit cells.
-_LOADTXT_MIN_CHARS = 512
-
 
 def _read_only(a) -> np.ndarray:
     """a as a read-only float array; a writable one (the caller's) is copied."""
@@ -243,7 +238,7 @@ def _delimited_grid(text: str, sep: str) -> np.ndarray:
     # as whitespace where float() rejects it. Text it rejects (a ragged row,
     # a bad cell, or a literal only float() reads, such as 1_000) takes the
     # per-cell Python path, which names the first bad cell.
-    if len(text) >= _LOADTXT_MIN_CHARS and "\x1f" not in text:
+    if "\x1f" not in text:
         try:
             return np.loadtxt(lines, delimiter=sep, comments=None, ndmin=2)
         except ValueError:

@@ -172,6 +172,31 @@ def test_non_utf8_file_exit_2(capsys, table_csv, tmp_path, which):
     assert "is not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("csv", "8,2\n2,8\n"), ("tsv", "8\t2\n2\t8\n"), ("json", "[[8, 2], [2, 8]]"),
+])
+def test_byte_order_mark_is_skipped(capsys, tmp_path, fmt, text):
+    # Excel starts a UTF-8 file with a byte-order mark
+    plain, marked = tmp_path / ("plain." + fmt), tmp_path / ("marked." + fmt)
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    reports = []
+    for p in (plain, marked):
+        code, out, err = run(capsys, ["--input", str(p), "--input-format", fmt])
+        assert code == 0 and err == ""
+        reports.append(out)
+    assert reports[1].replace("marked", "plain") == reports[0]
+
+
+def test_byte_order_mark_in_prior_matrix_is_skipped(capsys, table_csv, tmp_path):
+    pm = tmp_path / "prior.csv"
+    pm.write_text("0.5,0.5\n0.5,0.5\n", encoding="utf-8-sig")
+    code, out, err = run(capsys, ["--input", table_csv, "--prior", "custom",
+                                  "--prior-matrix", str(pm), "--fit", "none"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["input"]["n"] == 22.0
+
+
 def test_mc_count_too_large_to_hold_exit_2(capsys, table_csv):
     # 10**20 draws exceed what numpy can address, so nothing is allocated.
     code, out, err = run(capsys, ["--input", table_csv, "--mc", str(10**20)])
@@ -366,7 +391,9 @@ def test_overflowing_total_exits_3_naming_it(capsys, tmp_path):
     "mp.survival(mp.fit_two_moment(0.3, 0.02, 'normal'), 0.4)",
     "import miposterior as mp\n"
     "mp.survival(mp.fit_two_moment(0.3, 0.02, 'lognormal'), 0.4)",
-], ids=["import_cli", "mc_estimate", "normal_tail", "lognormal_tail"])
+    "import miposterior as mp\n"
+    "mp.digamma_integer(7), mp.digamma_half_integer(3), mp.psi(7.0), mp.psi(7.5)",
+], ids=["import_cli", "mc_estimate", "normal_tail", "lognormal_tail", "psi_tables"])
 def test_scipy_free_paths_load_no_scipy(code):
     code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -17,7 +17,6 @@ from miposterior import (
     point_stats,
     serialize_table,
 )
-from miposterior import tables
 from miposterior.tables import _raise_bad_cell
 
 
@@ -298,12 +297,6 @@ class TestParseParity:
     return the grid, bit for bit, or the error message of the per-cell
     float() parser it replaced."""
 
-    @pytest.fixture(autouse=True)
-    def _tokenize_short_text(self, monkeypatch):
-        # Short text is parsed cell by cell; send every text through the
-        # tokenizer, however short, so these cases test it.
-        monkeypatch.setattr(tables, "_LOADTXT_MIN_CHARS", 0)
-
     # Cell fragments for the token soup: separators, line ends (CRLF, \x0c
     # and \x1c split lines), literals only float() reads (1_000, full-width
     # and Arabic-Indic digits), literals neither reads (0x10, 1e, quotes,
@@ -360,9 +353,7 @@ class TestParseParity:
         for fmt in ("csv", "tsv"):
             self._assert_same(text, fmt)
 
-    def test_large_tables_at_default_threshold(self, monkeypatch):
-        monkeypatch.undo()
-        assert tables._LOADTXT_MIN_CHARS > 0
+    def test_large_tables(self):
         rng = np.random.default_rng(2003)
         grid = rng.poisson(50.0, size=(30, 30)).astype(float)
         grid[::3] *= rng.uniform(0.5, 2.0, size=(10, 30))
@@ -373,7 +364,6 @@ class TestParseParity:
                 rows[edit[0]][edit[1]] = edit[2]
             for fmt, sep in (("csv", ","), ("tsv", "\t")):
                 text = "\n".join(sep.join(row) for row in rows) + "\n\n"
-                assert len(text) >= tables._LOADTXT_MIN_CHARS
                 self._assert_same(text, fmt)
 
 
