@@ -11,20 +11,16 @@ parser. `_gamma_bases` and `fit_poly_ansatz` start from each table's moments
 as the report forms them (the fit falls back to the normal base where the
 gamma base has no root, as the report does); `_clean` converts each table's
 report as `_build_report` hands it over. `main` is the whole in-process
-report, its stdout discarded.
+report, which returns each table's exit code and stdout.
 """
 
 import contextlib
 import importlib
 import io
-import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT), str(ROOT / "src")]
-
-from bench.workloads import _ansatz_build  # noqa: E402
+from bench.workloads import _ansatz_build
 
 _FILES = tempfile.TemporaryDirectory()  # the deck's CSV files
 ARGVS = [case.argv for case in _ansatz_build(1, Path(_FILES.name))]
@@ -56,23 +52,25 @@ def make(mp):
     finally:
         cli._clean = clean
 
-    def fit_poly_ansatz():
-        for _, raw, hi in moments:
-            try:
-                mp.fit_poly_ansatz(*raw, base="gamma", support_max=hi)
-            except mp.FitError:
-                mp.fit_poly_ansatz(*raw, base="normal", support_max=hi)
+    def build_parser():  # a parser has no value equality, so it returns None
+        for _ in ARGVS:
+            cli.build_parser()
 
-    def main():
-        with contextlib.redirect_stdout(io.StringIO()):
-            for argv in ARGVS:
-                cli.main(argv)
+    def fit(raw, hi):
+        try:
+            return mp.fit_poly_ansatz(*raw, base="gamma", support_max=hi)
+        except mp.FitError:
+            return mp.fit_poly_ansatz(*raw, base="normal", support_max=hi)
+
+    def report(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            return cli.main(argv), stdout.getvalue()
 
     return {
-        "build_parser": lambda: [cli.build_parser() for _ in ARGVS],
+        "build_parser": build_parser,
         "parse_args": lambda: [parser.parse_args(argv) for argv in ARGVS],
         "_gamma_bases": lambda: [mp.fit._gamma_bases(*m) for m, _, _ in moments],
-        "fit_poly_ansatz": fit_poly_ansatz,
+        "fit_poly_ansatz": lambda: [fit(raw, hi) for _, raw, hi in moments],
         "_clean": lambda: [cli._clean(r) for r in reports],
-        "main": main,
+        "main": lambda: [report(argv) for argv in ARGVS],
     }

@@ -12,13 +12,7 @@ The op is the benchmark's: parse, Jeffreys prior, summarize, gamma fit and
 three tails.
 """
 
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT), str(ROOT / "src")]
-
-from bench.workloads import _large_build  # noqa: E402
+from bench.workloads import _large_build
 
 DECK = _large_build(1)
 MEDIAN = [item for item in DECK if item.counts.shape[0] in (186, 200, 214)]
@@ -32,12 +26,13 @@ def make(mp):
         mp.summarize(c)
 
     def op(items):
+        out = []  # (summary, fit, tails) of each table
         for item in items:
             s = mp.summarize(mp.apply_prior(mp.parse_table(item.text), prior))
             var = s.var_o2 if s.var_o2 > 0 else s.var_o1
             fit = mp.fit_two_moment(s.mean_exact, var, "gamma")
-            for t in item.thresholds:
-                mp.survival(fit, t)
+            out.append((s, fit, [mp.survival(fit, t) for t in item.thresholds]))
+        return out
 
     return {
         "parse_table": lambda: [mp.parse_table(item.text) for item in DECK],

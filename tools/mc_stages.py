@@ -16,15 +16,9 @@ the values. `moments` is `mc._moments` on all values and on the 32 batches;
 `mc_estimate` time the loaded tree.
 """
 
-import sys
-from pathlib import Path
-
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT), str(ROOT / "src")]
-
-from bench.workloads import MC_DRAWS, _mc_build  # noqa: E402
+from bench.workloads import MC_DRAWS, _mc_build
 
 DECK = _mc_build(1)
 
@@ -81,8 +75,8 @@ def make(mp):
                          range=(0.0, hi))
 
     def mc_estimate():
-        for post, seed, thresholds, *_ in tables:
-            mp.mc_estimate(post, MC_DRAWS, seed=seed, thresholds=thresholds)
+        return [mp.mc_estimate(post, MC_DRAWS, seed=seed, thresholds=thresholds)
+                for post, seed, thresholds, *_ in tables]
 
     return {"gamma_draws": gamma_draws, "kernel": kernel, "moments": moments,
             "histogram": histogram, "mc_estimate": mc_estimate}

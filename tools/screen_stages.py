@@ -9,13 +9,7 @@ the previous stage's outputs, built once here; `summarize` and `fit_tails`
 see posteriors whose point statistics are already cached.
 """
 
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT), str(ROOT / "src")]
-
-from bench.workloads import SCREEN_THRESHOLDS, _screen_build  # noqa: E402
+from bench.workloads import SCREEN_THRESHOLDS, _screen_build
 
 DECK = [(ds.prior, counts) for ds in _screen_build(1) for _, _, counts in ds.pairs]
 
@@ -27,16 +21,17 @@ def make(mp):
     summaries = [mp.summarize(c) for c in posts]
 
     def fit_tails():
+        out = []
         for s in summaries:
             var = s.var_o2 if s.var_o2 > 0 else s.var_o1
             if var > 0 and s.mean_exact > 0:
                 fit = mp.fit_two_moment(s.mean_exact, var, "gamma")
-                for t in SCREEN_THRESHOLDS:
-                    mp.survival(fit, t)
+                out.append((fit, [mp.survival(fit, t) for t in SCREEN_THRESHOLDS]))
+        return out
 
     def chain():
-        for kind, counts in DECK:
-            mp.summarize(mp.apply_prior(mp.CountsTable(counts), priors[kind]))
+        return [mp.summarize(mp.apply_prior(mp.CountsTable(counts), priors[kind]))
+                for kind, counts in DECK]
 
     return {
         "CountsTable": lambda: [mp.CountsTable(counts) for _, counts in DECK],
