@@ -137,6 +137,9 @@ def _build_report(args) -> dict:
             post.require_all_positive("--fit ansatz")
         if not var_used > 0:
             raise NumericPreconditionError(
+                "fit requires positive variance; the table has one row or one "
+                "column, so I is identically 0"
+                if "constant_variable" in summary.flags else
                 "fit requires positive variance; zero leading-order "
                 "variance (the log-ratio is constant on the table's support)"
                 if var_order_used == 1 else

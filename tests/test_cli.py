@@ -221,10 +221,12 @@ def test_nan_quantile_exit_2(capsys, table_csv):
 @pytest.mark.parametrize("fit", ["ansatz", "gamma"])
 def test_constant_variable_fit_exit_3(capsys, tmp_path, fit):
     p = tmp_path / "const.csv"
-    p.write_text("5,3\n")
-    code, out, err = run(capsys, ["--input", str(p), "--fit", fit])
-    assert code == 3 and out == ""
-    assert "fit requires positive variance" in err
+    for text in ("5,3\n", "5\n", "3,4,5\n", "3\n4\n"):  # 1x2, 1x1, 1x3, 2x1
+        p.write_text(text)
+        code, out, err = run(capsys, ["--input", str(p), "--fit", fit])
+        assert code == 3 and out == "", text
+        assert ("fit requires positive variance; the table has one row or one "
+                "column, so I is identically 0") in err, text
 
 
 def test_ansatz_fit(capsys, table_csv):

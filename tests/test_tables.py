@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -309,6 +310,10 @@ class TestParseParity:
         "#", "#1", '"1"', "'2'", " ", "  ", "\t", "\r", "\n", "\r\n",
         "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000", "\x00",
         "\u0661", "\uff11", ",", ",", ",", "\t", "\t", "\n", "\n",
+        # the edges of the unsigned-integer reader: 2**64 - 1, 2**64, 2**63,
+        # 2**53 + 1 (rounds to 2**53), a sign it accepts and one it rejects
+        "18446744073709551615", "18446744073709551616", "9223372036854775808",
+        "9007199254740993", "+0", "00", "-00",
     )
 
     def _assert_same(self, text, fmt):
@@ -353,7 +358,7 @@ class TestParseParity:
         for fmt in ("csv", "tsv"):
             self._assert_same(text, fmt)
 
-    def test_large_tables(self):
+    def test_large_tables(self, monkeypatch):
         rng = np.random.default_rng(2003)
         grid = rng.poisson(50.0, size=(30, 30)).astype(float)
         grid[::3] *= rng.uniform(0.5, 2.0, size=(10, 30))
@@ -365,6 +370,56 @@ class TestParseParity:
             for fmt, sep in (("csv", ","), ("tsv", "\t")):
                 text = "\n".join(sep.join(row) for row in rows) + "\n\n"
                 self._assert_same(text, fmt)
+        # An all-integer table is read by the unsigned-integer reader; one it
+        # rejects only at the last cell is read again by the float reader.
+        loadtxt, dtypes = np.loadtxt, []
+
+        def spy(*args, **kwargs):
+            dtypes.append(np.dtype(kwargs.get("dtype", float)).name)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        counts = rng.poisson(50.0, size=(30, 30)).astype(str).tolist()
+        for last in (None, "0.5", "-0", "18446744073709551616"):
+            rows = [list(row) for row in counts]
+            if last is not None:
+                rows[29][29] = last
+            for fmt, sep in (("csv", ","), ("tsv", "\t")):
+                dtypes.clear()
+                self._assert_same("\n".join(sep.join(row) for row in rows) + "\n", fmt)
+                assert dtypes == ["uint64"] + ([] if last is None else ["float64"])
+
+
+def test_integer_parse_converts_in_place():
+    """A 300x300 integer table parses with a peak of at most 1.25 times the
+    grid's bytes beyond its list of lines: a copy of the grid (astype, or a
+    2-d copyto, which copies its overlapping source) would need 2."""
+    counts = np.random.default_rng(2005).poisson(50.0, size=(300, 300))
+    text = "\n".join(",".join(map(str, row)) for row in counts.tolist()) + "\n"
+    tracemalloc.start()
+    lines = [line for line in text.splitlines() if line.strip()]
+    lines_peak = tracemalloc.get_traced_memory()[1]
+    del lines
+    tracemalloc.reset_peak()
+    grid = parse_grid(text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert grid.shape == (300, 300)
+    assert peak < lines_peak + 1.25 * grid.nbytes
+
+
+@pytest.mark.parametrize("text, fmt", [
+    ("1,2\n3,4\n", "csv"), ("1.5,2\n3,4\n", "csv"), ("1_000,2\n3,4\n", "csv"),
+    ("1\t2\n3\t4\n", "tsv"), ("[[1, 2], [3, 4]]", "json"),
+], ids=["integer", "float", "per_cell", "tsv", "json"])
+def test_parsed_grid_is_read_only_throughout(text, fmt):
+    """Neither the grid nor any array behind it (the integer reader's
+    buffer) can be written, so cached statistics cannot go stale."""
+    a = parse_grid(text, fmt)
+    assert a.dtype == np.float64
+    while isinstance(a, np.ndarray):
+        assert not a.flags.writeable
+        a = a.base
 
 
 def test_posterior_counts_derives_its_state_from_the_counts():
