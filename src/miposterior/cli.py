@@ -109,6 +109,8 @@ def _fit(summary, var_used: float, family: str):
 
 
 def _build_report(args) -> dict:
+    if args.mc_seed < 0:
+        raise ValidationError("--mc-seed must be a seed >= 0, got %d" % args.mc_seed)
     table = parse_table(_read_text(args.input), args.input_format)
     if args.prior == "custom":
         if args.prior_matrix is None:

@@ -75,7 +75,11 @@ def _tails(base: str, mu: float, s2: float, kmax: int, t: float | None = None) -
 
 
 def fit_two_moment(mean: float, variance: float, family: str) -> FitResult:
-    """Closed-form two-moment fit; reproduces mean and variance exactly."""
+    """Closed-form two-moment fit; reproduces mean and variance exactly. A
+    non-finite mean or variance raises ValidationError."""
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise ValidationError("two-moment fit requires a finite mean and variance, "
+                              "got %g and %g" % (mean, variance))
     if variance <= 0:
         raise ValidationError("two-moment fit requires variance > 0")
     if family == "normal":
@@ -184,11 +188,11 @@ def _sign_change(f, x: float, lo: float, hi: float) -> float:
     takes the same side (f > 0 or not) at both ends of that; when it does at
     both ends of [lo, hi] too, x is returned. Each step is an Illinois
     regula falsi step, kept at least one float inside the bracket, or a
-    bisection when the last two steps did not halve it. On the gamma-base
-    fits of tests/test_ansatz_report.py the first bracket held all 424
-    roots, at 5.6 evaluations of f per root (a fixed 60-step bisection took
-    62). The float resultant can change sign more than once within a few
-    ulps of a root; then any of those changes may be the one found.
+    bisection when the last two steps did not halve it: on the gamma-base
+    fits of tests/test_ansatz_report.py it takes at most 10 evaluations of
+    f per root on average (test_each_rate_sits_at_a_sign_change). The float
+    resultant can change sign more than once within a few ulps of a root;
+    then any of those changes may be the one found.
     """
     for a, b in ((x * (1.0 - 1e-8), x * (1.0 + 1e-8)), (lo, hi)):
         fa, fb = f(a), f(b)
@@ -322,8 +326,12 @@ def fit_poly_ansatz(
     Of the exact roots, the one whose density is non-negative on
     [0, support_max] is preferred; among those (or among all, if none is),
     the one whose base variance is closest to the moments' variance in ratio.
-    When the base alone meets the contract, b = c = 0.
+    When the base alone meets the contract, b = c = 0. A non-finite moment
+    raises ValidationError.
     """
+    if not all(map(math.isfinite, (m1, m2, m3, m4))):
+        raise ValidationError("ansatz fit requires finite moments, got m1..m4 = "
+                              "%g, %g, %g, %g" % (m1, m2, m3, m4))
     if base not in ("normal", "gamma"):
         raise ValidationError("ansatz base must be normal or gamma")
     if m1 <= 0:

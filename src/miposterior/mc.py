@@ -6,12 +6,12 @@ from its own generator keyed by (seed, block index). The blocks run on the
 usable CPUs, one thread each at most, the calling thread among them; each
 block writes its own slice of the values of I. So no output depends on the
 number of sampling threads. With the BLAS library's own thread count held
-fixed, a fixed (seed, N, counts) triple determines every output. The
-margins' matrix product (tables below 27x27, see _margins) may round
-differently at another BLAS thread count: on a 20x20 Jeffreys table at
-40,000 draws the variance differs in its last bits between
-OPENBLAS_NUM_THREADS=1 and 2, while the 5x5 and 12x9 tables tried give the
-same bits at both.
+fixed, a fixed (seed, N, counts) triple determines every output. On tables
+whose margins come from the matrix product (see _margins), the product may
+round differently at another BLAS thread count, and then the moments differ
+in their last bits. The 5x5 table of tests/test_mc.py's
+test_same_bits_at_one_and_two_blas_threads keeps the same bits at one and
+two threads.
 
 Each block is drawn and reduced in chunks of max(_CHUNK_CELLS, rs) gamma
 variates (_CHUNK_CELLS // rs draws, or one draw when rs is above
@@ -19,13 +19,15 @@ _CHUNK_CELLS), so the working set is a small multiple of one chunk's
 doubles per thread plus the N values of I and, on tables whose
 (rs, 1 + r + s) margins matrix holds at most _CHUNK_CELLS * 9 // 16
 entries, that matrix. Larger tables form their margins by reshape sums,
-since the matrix grows as (rs)^1.5 (433 MB at 300x300) and the product
-costs more per draw as the table grows. The generator fills the chunks in
-the order it would fill the whole block, so the variates are those of one
-whole-block draw and the (seed, block) contract is unchanged. Only the
-matrix product that forms the margins can round differently with the
-chunk's row count. That moves some draws' I in its last bits, by at most
-1.9e-13 relative on the tables tried; many shapes are bit-identical.
+since the matrix grows as (rs)^1.5 and the product costs more per draw as
+the table grows; test_peak_memory_is_one_chunk bounds the peak. The
+generator fills the chunks in the order it would fill the whole block, so
+the variates are those of one whole-block draw and the (seed, block)
+contract holds whatever the chunk size. Only the matrix product that forms
+the margins can round differently with the chunk's row count, which moves
+some draws' I in their last bits: the moments stay within 1e-12 relative
+of whole-block draws (test_chunk_size_moves_only_the_last_bits); many
+shapes are bit-identical.
 """
 
 from __future__ import annotations

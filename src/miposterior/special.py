@@ -1,7 +1,8 @@
 """The package's special functions: psi (digamma) and Q(a, x), the
 regularized upper incomplete gamma function, plus exact harmonic tables.
 
-Both come from scipy.special, which takes about 0.3 s to import, so this
+Both come from scipy.special, which is slow to import (`bench/run.py
+--trace 1` reports its import as cli.import.scipy_special_ms), so this
 module imports it on first use: reading ``special.digamma_ufunc`` or
 ``special.gammaincc`` binds scipy's ufunc as a module global, and every
 later read reaches the ufunc with no Python wrapper in between. Every

@@ -168,8 +168,7 @@ class PosteriorCounts:
     def stats(self) -> moments.PointStats:
         """moments.point_stats(self), computed on first use and kept."""
         # Not functools.cached_property: it writes the instance __dict__, which
-        # on CPython 3.11 slows every later attribute read (about 3 us per
-        # summarize of a small table).
+        # on CPython 3.11 slows every later attribute read.
         st = getattr(self, "_stats", None)
         if st is None:
             st = moments.point_stats(self)
@@ -234,16 +233,17 @@ def _delimited_grid(text: str, sep: str) -> np.ndarray:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValidationError("empty table")
+    # Three readers, which give the same grid bit for bit (TestParseParity).
     # numpy's C tokenizer parses each cell as float() does, but strips "\x1f"
-    # as whitespace where float() rejects it. Its unsigned-integer reader
-    # reads counts in about 0.55 of the float reader's time; it rejects every
-    # "-" (so -0 keeps its sign), ".", exponent, nan/inf and value of 2**64
-    # or more, and its cast to float64 rounds to nearest as float() does.
-    # Text it rejects takes the float reader: an integer table whose last
-    # cell is not an integer is read twice, about 1.45 times the float
-    # reader's cost at 300x300. Text both reject (a ragged row, a bad cell,
-    # or a literal only float() reads, such as 1_000) takes the per-cell
-    # Python path, which names the first bad cell.
+    # as whitespace where float() rejects it. Its unsigned-integer reader is
+    # the faster (tools/large_stages.py times parse_table against
+    # parse_fractional); it rejects every "-" (so -0 keeps its sign), ".",
+    # exponent, nan/inf and value of 2**64 or more, and its cast to float64
+    # rounds to nearest as float() does. Text it rejects takes the float
+    # reader, so an integer table whose last cell is not an integer is read
+    # twice. Text both reject (a ragged row, a bad cell, or a literal only
+    # float() reads, such as 1_000) takes the per-cell Python path, which
+    # names the first bad cell.
     if "\x1f" not in text:
         try:
             counts = np.loadtxt(lines, delimiter=sep, comments=None, ndmin=2,

@@ -206,10 +206,10 @@ def test_mc_count_too_large_to_hold_exit_2(capsys, table_csv):
 
 
 def test_negative_mc_seed_exit_2(capsys, table_csv):
-    code, out, err = run(capsys, ["--input", table_csv, "--mc", "1000",
-                                  "--mc-seed", "-1"])
-    assert code == 2 and out == ""
-    assert "seed >= 0" in err
+    for mc in (["--mc", "1000"], []):  # rejected with or without a Monte Carlo block
+        code, out, err = run(capsys, ["--input", table_csv, *mc, "--mc-seed", "-1"])
+        assert code == 2 and out == "", mc
+        assert "seed >= 0" in err, mc
 
 
 def test_nan_quantile_exit_2(capsys, table_csv):

@@ -140,8 +140,23 @@ class TestTwoMoment:
         with pytest.raises(ValidationError):
             fit_two_moment(1.0, 1.0, "weibull")
 
+    @pytest.mark.parametrize("family", ["normal", "gamma", "lognormal"])
+    @pytest.mark.parametrize("mean, variance", [
+        (0.1, math.nan), (0.1, math.inf), (math.nan, 0.02), (math.inf, 0.02)])
+    def test_non_finite_moments_rejected(self, family, mean, variance):
+        with pytest.raises(ValidationError, match="finite mean and variance"):
+            fit_two_moment(mean, variance, family)
+
 
 class TestPolyAnsatz:
+    @pytest.mark.parametrize("base", ["normal", "gamma"])
+    @pytest.mark.parametrize("moments", [
+        (math.nan, 0.02, 0.001, 1e-4), (0.1, math.nan, 0.001, 1e-4),
+        (0.1, 0.02, math.inf, 1e-4), (0.1, 0.02, 0.001, -math.inf)])
+    def test_non_finite_moments_rejected(self, base, moments):
+        with pytest.raises(ValidationError, match="finite moments"):
+            fit_poly_ansatz(*moments, base=base)
+
     def test_fixed_point_gamma(self):
         base = fit_two_moment(0.3, 0.02, "gamma")
         f = fit_poly_ansatz(*base.moments_achieved, base="gamma")
