@@ -11,7 +11,6 @@ from .errors import (
     FitError,
     NumericPreconditionError,
     ValidationError,
-    ZeroCellError,
 )
 from .fit import (
     FitResult,
@@ -64,7 +63,6 @@ __all__ = [
     "PosteriorCounts",
     "PriorSpec",
     "ValidationError",
-    "ZeroCellError",
     "apply_prior",
     "central3",
     "central4",

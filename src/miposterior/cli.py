@@ -125,9 +125,6 @@ def _build_report(args) -> dict:
     post = apply_prior(table, prior)
     summary = summarize(post)
 
-    if args.var_order == "2":
-        post.require_all_positive("--var-order 2")
-    # var_o2 is NaN on zero cells, so "auto" falls back to order 1 there.
     if args.var_order == "2" or (args.var_order == "auto" and summary.var_o2 > 0):
         var_used, var_order_used = summary.var_o2, 2
     else:
@@ -135,12 +132,10 @@ def _build_report(args) -> dict:
 
     fit_result = None
     if args.fit != "none":
-        if args.fit == "ansatz":
-            post.require_all_positive("--fit ansatz")
         if not var_used > 0:
             raise NumericPreconditionError(
-                "fit requires positive variance; the table has one row or one "
-                "column, so I is identically 0"
+                "fit requires positive variance; the table's positive cells lie "
+                "in one row or one column, so I is identically 0"
                 if "constant_variable" in summary.flags else
                 "fit requires positive variance; zero leading-order "
                 "variance (the log-ratio is constant on the table's support)"

@@ -7,21 +7,9 @@ class ValidationError(ValueError):
 
 class NumericPreconditionError(ValueError):
     """Input is structurally valid but outside the domain of the requested
-    computation (zero posterior cells, degenerate variance, ...)."""
-
-
-class ZeroCellError(NumericPreconditionError):
-    """A computation that requires strictly positive posterior cells met a zero.
-
-    Carries the offending cell indices so callers can suggest a positive prior;
-    `what` names the computation.
-    """
-
-    def __init__(self, cells, what):
-        self.cells = list(cells)
-        super().__init__(
-            "%s requires strictly positive posterior cells; zero cells at %s "
-            "(consider a positive prior such as jeffreys)" % (what, self.cells))
+    computation (zero variance, counts too extreme for double precision,
+    ...). Zero posterior cells are in the domain: every computation takes
+    the posterior on the positive cells (see moments.summarize)."""
 
 
 class DegenerateError(NumericPreconditionError):

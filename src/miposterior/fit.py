@@ -326,12 +326,16 @@ def fit_poly_ansatz(
     Of the exact roots, the one whose density is non-negative on
     [0, support_max] is preferred; among those (or among all, if none is),
     the one whose base variance is closest to the moments' variance in ratio.
-    When the base alone meets the contract, b = c = 0. A non-finite moment
-    raises ValidationError.
+    When the base alone meets the contract, b = c = 0. A non-finite moment,
+    and a support_max that is not finite and positive, raise
+    ValidationError.
     """
     if not all(map(math.isfinite, (m1, m2, m3, m4))):
         raise ValidationError("ansatz fit requires finite moments, got m1..m4 = "
                               "%g, %g, %g, %g" % (m1, m2, m3, m4))
+    if support_max is not None and not 0.0 < support_max < math.inf:
+        raise ValidationError("ansatz fit requires a finite support_max > 0, got %r"
+                              % support_max)
     if base not in ("normal", "gamma"):
         raise ValidationError("ansatz base must be normal or gamma")
     if m1 <= 0:

@@ -28,6 +28,16 @@ the margins can round differently with the chunk's row count, which moves
 some draws' I in their last bits: the moments stay within 1e-12 relative
 of whole-block draws (test_chunk_size_moves_only_the_last_bits); many
 shapes are bit-identical.
+
+Zero cells: a zero posterior cell is a gamma variate of shape 0, which
+numpy's generator returns as 0 without taking a value from its stream. So
+a zero-cell table's draws are those of its support: each row holds, in
+row-major order, the variates a draw of the positive cells alone would
+hold, and zeros in the other cells. Its moments are those of the table
+with its empty rows and columns deleted, to rounding
+(test_empty_row_matches_the_table_without_it). Every such draw takes the
+x log x fallback of _mi_of_samples, which costs more per draw than the
+plain kernel.
 """
 
 from __future__ import annotations
@@ -70,8 +80,8 @@ class McEstimate:
 
 
 def sample_dirichlet(c: PosteriorCounts, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the posterior Dirichlet over the r x s cell probabilities."""
-    c.require_all_positive("Dirichlet sampling")
+    """One draw from the posterior Dirichlet over the r x s cell probabilities;
+    a zero cell draws 0."""
     x = rng.gamma(shape=c.counts)
     return x / x.sum()
 
@@ -130,8 +140,9 @@ def _mi_of_samples(x: np.ndarray, r: int, s: int,
                - np.einsum("ij,ij->i", marg, np.log(marg))) / total
     bad = np.isnan(out)
     if bad.any():
-        # Draws of shapes below about 0.01 can underflow to 0, where
-        # 0 log 0 reads NaN; those rows take the x log x -> 0 limit.
+        # Zero cells draw 0, and so can draws of shapes below about 0.01
+        # that underflow; 0 log 0 reads NaN, so those rows take the
+        # x log x -> 0 limit.
         if not np.all(total[bad] > 0):
             raise NumericPreconditionError(
                 "a Monte Carlo draw underflows to 0 in every cell; the posterior "
@@ -230,7 +241,6 @@ def mc_estimate(
         raise ValidationError("mc_estimate needs at least 100 samples")
     if seed < 0:
         raise ValidationError("mc_estimate needs a seed >= 0")
-    c.require_all_positive("Dirichlet sampling")
     shapes = c.counts.reshape(-1)
     rows = max(1, _CHUNK_CELLS // shapes.size)
     margins = _margins(c.r, c.s)

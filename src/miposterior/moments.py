@@ -43,7 +43,8 @@ class PointStats:
 
     j is the plug-in mutual information; k and l its second and third moments
     under pi_hat; m, p, q feed the second-order variance and third central
-    moment. m and p are NaN when the table has zero cells.
+    moment. Every sum runs over the support (see summarize): a zero cell
+    adds nothing, and neither do an empty row or column.
     """
 
     j: float
@@ -63,7 +64,7 @@ class MomentSummary:
     mean_exact: float
     mean_o2: float
     var_o1: float
-    var_o2: float  # NaN when zero cells block the second-order term
+    var_o2: float  # second order on the support; negative outside the validity regime
     central3: float
     central4: float
     skewness: float  # NaN when degenerate
@@ -77,9 +78,16 @@ class MomentSummary:
 _ROUNDING = 32.0 * sys.float_info.epsilon
 
 
+def _support_shape(c: PosteriorCounts) -> tuple[int, int]:
+    """The numbers of rows and of columns that hold a positive cell."""
+    return int(np.count_nonzero(c.row_sums)), int(np.count_nonzero(c.col_sums))
+
+
 def _degenerate(c: PosteriorCounts) -> bool:
-    # MI of a constant variable is identically zero.
-    return 1 in c.counts.shape
+    # MI of a constant variable is identically zero; on the support (see
+    # summarize) a variable is constant when one of its values holds every
+    # positive cell.
+    return 1 in c.counts.shape or (not c.all_positive and 1 in _support_shape(c))
 
 
 def i_max(c: PosteriorCounts) -> float:
@@ -146,16 +154,17 @@ def point_stats(c: PosteriorCounts) -> PointStats:
             np.zeros(c.r), np.zeros(c.s),
         )
     n = c.counts
-    rows, cols = c.row_sums[:, None], c.col_sums
+    rows, cols = c.row_sums, c.col_sums
     if not c.all_positive:
         # Empty rows and columns hold only zero cells; dividing those zeros
-        # by 1 instead of 0 keeps every quotient finite.
+        # by 1 instead of 0 keeps every quotient finite, and each sum below
+        # then runs over the support.
         rows = np.where(rows > 0, rows, 1.0)
         cols = np.where(cols > 0, cols, 1.0)
     # log(n_ij n / (n_i+ n_+j)), 0 at zero cells, formed from the two factors
     # n_ij / n_i+ and n_+j / n that are each at most 1, so no product of
     # counts overflows.
-    by_row = n / rows
+    by_row = n / rows[:, None]
     by_col = n / cols
     lr = by_row / (cols / c.total)
     lr = (np.log(lr, out=lr) if c.all_positive
@@ -166,18 +175,14 @@ def point_stats(c: PosteriorCounts) -> PointStats:
     # it stands for, so every sum rounds as before.
     buf = by_row * by_col
     q = 1.0 - float(add(buf, axis=None))
-    if c.all_positive:
-        # n_ij (1/n_ij - 1/n_i+ - 1/n_+j + 1/n) lr, multiplied out:
-        # (1 - by_row - by_col + w) lr, with w = n / N in by_col's place
-        np.subtract(1.0, by_row, out=buf)
-        buf -= by_col
-        w = np.divide(n, c.total, out=by_col)
-        buf += w
-        buf *= lr
-        m = float(add(buf, axis=None))
-    else:
-        w = np.divide(n, c.total, out=by_col)
-        m = math.nan
+    # n_ij (1/n_ij - 1/n_i+ - 1/n_+j + 1/n) lr, multiplied out:
+    # (1 - by_row - by_col + w) lr, with w = n / N in by_col's place
+    np.subtract(1.0, by_row, out=buf)
+    buf -= by_col
+    w = np.divide(n, c.total, out=by_col)
+    buf += w
+    buf *= lr
+    m = float(add(buf, axis=None))
     wl = np.multiply(w, lr, out=w)  # then w lr^2 and w lr^3 in its place
     j = float(add(wl, axis=None))
     row_j = add(wl, axis=1)
@@ -186,13 +191,8 @@ def point_stats(c: PosteriorCounts) -> PointStats:
     k = float(add(wl, axis=None))
     wl *= lr
     l = float(add(wl, axis=None))
-    checked = (j, k, l, q)
-    if c.all_positive:
-        p = float(c.total * (add(row_j**2 / c.row_sums)
-                             + add(col_j**2 / c.col_sums)))
-        checked += (m, p)
-    else:
-        p = math.nan
+    p = float(c.total * (add(row_j**2 / rows) + add(col_j**2 / cols)))
+    checked = (j, k, l, q, m, p)
     if not math.isfinite(sum(checked)):  # raise on the first that is not
         for value, what in zip(checked, "JKLQMP"):
             _finite(value, what)
@@ -346,9 +346,19 @@ def mean_exact(c: PosteriorCounts) -> float:
     return _finite(_sum(terms) / c.total, "the exact mean")
 
 
+def _dof(c: PosteriorCounts) -> int:
+    """(r-1)(s-1) of the support: |S| - r_S - s_S + 1 for the support's
+    cells S and the r_S rows and s_S columns that hold them. On a table
+    without zero cells the two are equal, and need no numpy call."""
+    if c.all_positive:
+        return (c.r - 1) * (c.s - 1)
+    r_s, s_s = _support_shape(c)
+    return int(np.count_nonzero(c.counts)) - r_s - s_s + 1
+
+
 def mean_o2(c: PosteriorCounts) -> float:
-    """Second-order mean: J + (r-1)(s-1) / (2(n+1))."""
-    return c.stats.j + (c.r - 1) * (c.s - 1) / (2.0 * (c.total + 1.0))
+    """Second-order mean: J + dof / (2(n+1)), dof the support's (see _dof)."""
+    return c.stats.j + _dof(c) / (2.0 * (c.total + 1.0))
 
 
 def _spread(st: PointStats) -> float:
@@ -376,10 +386,9 @@ def var_o2(c: PosteriorCounts) -> float:
     """
     if _degenerate(c):
         return 0.0
-    c.require_all_positive("second-order variance")
     st = c.stats
     n = c.total
-    corr = (st.m + (c.r - 1) * (c.s - 1) * (0.5 - st.j) - st.q) / ((n + 1.0) * (n + 2.0))
+    corr = (st.m + _dof(c) * (0.5 - st.j) - st.q) / ((n + 1.0) * (n + 2.0))
     return var_o1(c) + corr
 
 
@@ -387,7 +396,6 @@ def central3(c: PosteriorCounts) -> float:
     """Leading-order third central moment of I."""
     if _degenerate(c):
         return 0.0
-    c.require_all_positive("third central moment")
     st = c.stats
     # Divide by n twice: n**2 raises OverflowError for large Python floats.
     n = c.total
@@ -470,11 +478,22 @@ def mean_var_from_cov(qhat: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
 def summarize(c: PosteriorCounts) -> MomentSummary:
     """All moments with flags instead of exceptions for degenerate regimes.
 
+    Zero cells: a zero posterior cell (a zero count under Haldane, or under
+    a custom prior with a zero entry) has pi_ij = 0 in every draw, so the
+    posterior is the Dirichlet on the support S, the set of positive cells,
+    and every moment is that of S. mean_exact's zero cells add
+    0 psi(1) = 0; the point statistics sum over S; mean_o2 and var_o2 count
+    the support's degrees of freedom (_dof); and when S lies in one row or
+    one column, I is identically 0. On a table without zero cells S is the
+    whole grid. i_max and validity_ratio still count the whole grid
+    (tests/test_moments.py::TestSupport).
+
     The one place the shape regime is decided: skewness and kurtosis divide
     by the second-order variance when it is positive, else by the leading
-    order one (with zero cells the skewness is NaN). Flag keys:
-    ``constant_variable`` (r or s is 1, so I is identically 0),
-    ``zero_cells`` (their indices; the second-order terms are NaN),
+    order one. Flag keys:
+    ``zero_cells`` (their indices, for information),
+    ``constant_variable`` (the support lies in one row or one column, as
+    when r or s is 1, so I is identically 0),
     ``validity_warning`` (negative second-order variance),
     ``shape_degenerate`` (zero leading-order variance, K - J^2 within
     rounding of 0 included; see _spread) and ``shape_underflow``
@@ -486,6 +505,8 @@ def summarize(c: PosteriorCounts) -> MomentSummary:
     flags: dict = {}
     im = i_max(c)
     ratio = c.r * c.s / c.total
+    if not c.all_positive:
+        flags["zero_cells"] = c.zero_cells()
     if _degenerate(c):
         flags["constant_variable"] = True
         return MomentSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan, math.nan,
@@ -494,17 +515,13 @@ def summarize(c: PosteriorCounts) -> MomentSummary:
     me = mean_exact(c)
     v1 = var_o1(c)
     mu4 = central4(c)
-    if c.all_positive:
-        v2 = var_o2(c)
-        mu3 = central3(c)
-        if v2 < 0:
-            flags["validity_warning"] = (
-                "second-order variance is negative: rs/n = %.3g is outside "
-                "the expansion's validity regime" % ratio
-            )
-    else:
-        flags["zero_cells"] = c.zero_cells()
-        v2 = mu3 = math.nan
+    v2 = var_o2(c)
+    mu3 = central3(c)
+    if v2 < 0:
+        flags["validity_warning"] = (
+            "second-order variance is negative: rs/n = %.3g is outside "
+            "the expansion's validity regime" % ratio
+        )
     skew = kurt = math.nan
     if not v1 > 0:
         # The leading-order moments all vanish together; dividing the

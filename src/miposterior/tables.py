@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .errors import NumericPreconditionError, ValidationError, ZeroCellError
+from .errors import NumericPreconditionError, ValidationError
 
 #: pseudo-count per cell for the named non-informative priors; perks is 1/(r*s)
 NAMED_PRIORS = ("haldane", "perks", "jeffreys", "uniform")
@@ -178,12 +178,6 @@ class PosteriorCounts:
     def zero_cells(self) -> list[tuple[int, int]]:
         i, j = np.nonzero(self.counts == 0)
         return list(zip(i.tolist(), j.tolist()))
-
-    def require_all_positive(self, what: str) -> None:
-        """Raise ZeroCellError naming the zero cells, if there are any; `what`
-        names the computation that needs every cell positive."""
-        if not self.all_positive:
-            raise ZeroCellError(self.zero_cells(), what)
 
 
 def apply_prior(table: CountsTable, prior: PriorSpec) -> PosteriorCounts:

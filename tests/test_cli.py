@@ -24,6 +24,13 @@ def zero_cell_csv(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def sparse_csv(tmp_path):
+    p = tmp_path / "sparse.csv"
+    p.write_text("3,0,2\n1,4,0\n0,2,5\n")
+    return str(p)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -56,20 +63,25 @@ def test_report_matches_library(capsys, table_csv):
     assert report["point_stats"]["j"] == miposterior.point_stats(c).j
 
 
-def test_zero_cell_var_order_2_exit_3(capsys, zero_cell_csv):
-    code, _, err = run(capsys, ["--input", zero_cell_csv, "--prior", "haldane",
-                                "--var-order", "2", "--fit", "none"])
-    assert code == 3
-    assert "(0, 1)" in err
-
-
-def test_zero_cell_auto_falls_back_to_order_1(capsys, zero_cell_csv):
-    code, out, _ = run(capsys, ["--input", zero_cell_csv, "--prior", "haldane",
-                                "--fit", "none"])
-    assert code == 0
+def test_zero_cell_var_order_2_is_the_supports(capsys, zero_cell_csv):
+    code, out, err = run(capsys, ["--input", zero_cell_csv, "--prior", "haldane",
+                                  "--var-order", "2", "--fit", "none"])
+    assert code == 0 and err == ""
     report = json.loads(out)
-    assert report["var_order_used"] == 1
-    assert report["moments"]["var_o2"] is None
+    assert report["var_order_used"] == 2
+    assert report["variance_used"] == report["moments"]["var_o2"] > 0
+
+
+def test_zero_cell_default_report(capsys, zero_cell_csv):
+    # var_o1 is 0 on the diagonal; var_o2, on the support, is within 2% of
+    # the exact variance 0.0037370947203771586 (I is the binary entropy of
+    # pi_11 ~ Beta(5, 5)), and the default gamma fit uses it.
+    code, out, err = run(capsys, ["--input", zero_cell_csv, "--prior", "haldane"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["var_order_used"] == 2
+    assert report["variance_used"] == pytest.approx(0.0037370947203771586, rel=0.02)
+    assert report["fit"]["family"] == "gamma"
     assert report["moments"]["flags"]["zero_cells"] == [[0, 1], [1, 0]]
 
 
@@ -221,12 +233,16 @@ def test_nan_quantile_exit_2(capsys, table_csv):
 @pytest.mark.parametrize("fit", ["ansatz", "gamma"])
 def test_constant_variable_fit_exit_3(capsys, tmp_path, fit):
     p = tmp_path / "const.csv"
-    for text in ("5,3\n", "5\n", "3,4,5\n", "3\n4\n"):  # 1x2, 1x1, 1x3, 2x1
+    # 1x2, 1x1, 1x3, 2x1, and under Haldane one row and one column of
+    # positive cells in a 2x2 and a 2x3
+    for text, prior in (("5,3\n", "jeffreys"), ("5\n", "jeffreys"),
+                        ("3,4,5\n", "jeffreys"), ("3\n4\n", "jeffreys"),
+                        ("3,4\n0,0\n", "haldane"), ("0,5,0\n0,2,0\n", "haldane")):
         p.write_text(text)
-        code, out, err = run(capsys, ["--input", str(p), "--fit", fit])
+        code, out, err = run(capsys, ["--input", str(p), "--fit", fit, "--prior", prior])
         assert code == 3 and out == "", text
-        assert ("fit requires positive variance; the table has one row or one "
-                "column, so I is identically 0") in err, text
+        assert ("fit requires positive variance; the table's positive cells "
+                "lie in one row or one column, so I is identically 0") in err, text
 
 
 def test_ansatz_fit(capsys, table_csv):
@@ -343,7 +359,9 @@ def test_degenerate_table_reported_not_crashed(capsys, tmp_path):
 
 
 def test_dependent_zero_variance_message(capsys, zero_cell_csv):
-    code, _, err = run(capsys, ["--input", zero_cell_csv, "--prior", "haldane"])
+    # The log-ratio is log 2 on the whole support, so var_o1 is 0.
+    code, _, err = run(capsys, ["--input", zero_cell_csv, "--prior", "haldane",
+                                "--var-order", "1"])
     assert code == 3
     assert "zero leading-order variance" in err
     assert "independence" not in err
@@ -417,14 +435,15 @@ def test_ansatz_report_leaves_optimize_unloaded(table_csv):
 @pytest.mark.parametrize("extra", [
     ["--fit", "ansatz"],
     ["--fit", "none", "--mc", "1000"],
+    ["--var-order", "2"],
 ])
-def test_zero_cell_ansatz_and_mc_exit_3(capsys, zero_cell_csv, extra):
-    code, out, err = run(capsys, ["--input", zero_cell_csv, "--prior", "haldane",
+def test_zero_cell_ansatz_mc_and_var_order_2_report(capsys, sparse_csv, extra):
+    code, out, err = run(capsys, ["--input", sparse_csv, "--prior", "haldane",
                                   *extra])
-    assert code == 3
-    assert out == ""
-    assert "(0, 1)" in err
-    assert "Traceback" not in err
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["moments"]["flags"].keys() == {"zero_cells"}
+    assert (report["mc"] is None) == ("--mc" not in extra)
 
 
 def test_inf_quantile_exit_2(capsys, table_csv):

@@ -71,8 +71,13 @@ def _posterior_counts_ref(a, kind, matrix=None):
         return a + pseudo
 
 
+def _constant_ref(c):
+    """One row or one column holds every positive cell: I is identically 0."""
+    return 1 in (np.count_nonzero(c.row_sums), np.count_nonzero(c.col_sums))
+
+
 def _point_stats_ref(c):
-    if 1 in c.counts.shape:
+    if _constant_ref(c):
         return moments.PointStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                                   np.zeros(c.r), np.zeros(c.s))
     n = c.counts
@@ -92,18 +97,14 @@ def _point_stats_ref(c):
     row_j = wl.sum(axis=1)
     col_j = wl.sum(axis=0)
     q = finite(1.0 - float((by_row * by_col).sum()), "Q")
-    if c.all_positive:
-        m = finite(float(((1.0 - by_row - by_col + w) * lr).sum()), "M")
-        p = finite(float(c.total * ((row_j**2 / c.row_sums).sum()
-                                    + (col_j**2 / c.col_sums).sum())), "P")
-    else:
-        m = math.nan
-        p = math.nan
+    m = finite(float(((1.0 - by_row - by_col + w) * lr).sum()), "M")
+    p = finite(float(c.total * ((row_j**2 / rows[:, 0]).sum()
+                                + (col_j**2 / cols).sum())), "P")
     return moments.PointStats(j, k, l, m, p, q, row_j, col_j)
 
 
 def _mean_exact_ref(c):
-    if 1 in c.counts.shape:
+    if _constant_ref(c):
         return 0.0
     n = c.counts
     if c.total < moments._SERIES_TOTAL:

@@ -157,6 +157,15 @@ class TestPolyAnsatz:
         with pytest.raises(ValidationError, match="finite moments"):
             fit_poly_ansatz(*moments, base=base)
 
+    @pytest.mark.parametrize("base", ["normal", "gamma"])
+    @pytest.mark.parametrize("support_max", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_support_max_rejected(self, base, support_max):
+        # Each would make the non-negativity check run on [0, nan],
+        # [0, inf] or an empty interval.
+        raw = central_to_raw(0.2165, 0.0129, 1.03e-3, 7.1e-4)
+        with pytest.raises(ValidationError, match="finite support_max > 0"):
+            fit_poly_ansatz(*raw, base=base, support_max=support_max)
+
     def test_fixed_point_gamma(self):
         base = fit_two_moment(0.3, 0.02, "gamma")
         f = fit_poly_ansatz(*base.moments_achieved, base="gamma")

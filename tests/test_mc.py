@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -14,12 +15,12 @@ from miposterior import (
     NumericPreconditionError,
     PriorSpec,
     ValidationError,
-    ZeroCellError,
     apply_prior,
     i_max,
     mc_estimate,
     mean_exact,
     sample_dirichlet,
+    summarize,
 )
 
 
@@ -36,10 +37,13 @@ class TestSampler:
             assert np.all(p > 0)
             assert abs(p.sum() - 1.0) <= 1e-12
 
-    def test_zero_cell_names_cell(self):
-        with pytest.raises(ZeroCellError) as ei:
-            sample_dirichlet(posterior([[5, 0], [0, 5]]), np.random.default_rng(0))
-        assert (0, 1) in ei.value.cells
+    def test_zero_cells_draw_zero(self):
+        # A shape-0 gamma variate is 0 and takes nothing from the stream, so
+        # the positive cells draw what a draw of them alone would.
+        p = sample_dirichlet(posterior([[5, 0], [0, 3]]), np.random.default_rng(0))
+        x = np.random.default_rng(0).gamma(shape=[5.0, 3.0])
+        assert p[0, 1] == p[1, 0] == 0.0
+        assert np.array_equal(p[[0, 1], [0, 1]], x / x.sum())
 
     def test_cell_means_match_dirichlet(self):
         # E[pi_ij] = n_ij / n; check with 1e5 samples at 4 batch-means SEs
@@ -90,9 +94,11 @@ class TestMcEstimate:
         with pytest.raises(ValidationError, match="seed >= 0"):
             mc_estimate(posterior([[1, 1], [1, 1]]), 1000, seed=-1)
 
-    def test_zero_cell_rejected(self):
-        with pytest.raises(ZeroCellError):
-            mc_estimate(posterior([[5, 0], [0, 5]]), 1000)
+    def test_zero_cell_table_is_sampled(self):
+        # I is the binary entropy of pi_11 ~ Beta(5, 5): at most log 2.
+        est = mc_estimate(posterior([[5, 0], [0, 5]]), 1000, seed=3)
+        assert 0.0 < est.mean < math.log(2.0)
+        assert int(est.hist_counts.sum()) == 1000
 
     @pytest.mark.parametrize("n", [10**20, 2**63, 2**60])
     def test_count_too_large_to_hold_rejected(self, n):
@@ -165,6 +171,63 @@ class TestMcEstimate:
         c = posterior([[4, 1], [1, 4]])
         est = mc_estimate(c, 20_000, seed=5, thresholds=(i_max(c) + 1e-12,))
         assert est.tail[i_max(c) + 1e-12] == 0.0
+
+
+@functools.cache
+def _mc_zero_cells(table, scale=1):
+    """A Monte Carlo estimate at 1e6 draws of a zero-cell table under Haldane,
+    scaled, with the summary it is checked against."""
+    c = posterior(np.array(table) * scale)
+    return mc_estimate(c, 10**6, seed=1), summarize(c)
+
+
+# Zero-cell tables: `DIAGONAL` has the exact variance 0.0037370947203771586
+# (I is the binary entropy of pi_11 ~ Beta(5, 5); 30-digit quadrature),
+# `FRACTIONAL` 0.023654452811121135 (an O(rs) closed form for the exact
+# variance, in 40-digit mpmath).
+DIAGONAL = ((5, 0), (0, 5))
+FRACTIONAL = ((0.5, 3.5, 0), (2.5, 0.5, 1.5))
+SPARSE = ((3, 0, 2), (1, 4, 0), (0, 2, 5))
+
+
+class TestZeroCells:
+    # A zero posterior cell is 0 in every draw: the posterior is the
+    # Dirichlet on the support, and the analytic moments are the support's.
+
+    @pytest.mark.parametrize("table", [DIAGONAL, FRACTIONAL, SPARSE])
+    def test_mean_matches_mean_exact(self, table):
+        est, s = _mc_zero_cells(table)
+        assert abs(est.mean - s.mean_exact) <= 4.0 * est.se_mean
+
+    @pytest.mark.parametrize("table, exact", [
+        (DIAGONAL, 0.0037370947203771586), (FRACTIONAL, 0.023654452811121135)])
+    def test_variance_matches_the_exact_variance(self, table, exact):
+        est, _ = _mc_zero_cells(table)
+        assert abs(est.variance - exact) <= 4.0 * est.se_variance
+
+    @pytest.mark.parametrize("scale", [10, 30])
+    def test_var_o2_matches_inside_the_validity_regime(self, scale):
+        # var_o1 is 0 on the diagonal: the log-ratio is log 2 on the
+        # support. At scale 1 (rs/n 0.4), var_o2 is 1.4% above the exact
+        # variance, outside the regime this checks.
+        est, s = _mc_zero_cells(DIAGONAL, scale)
+        assert s.var_o1 == 0.0
+        assert abs(est.variance - s.var_o2) <= 4.0 * est.se_variance
+
+    def test_skewness_gap_shrinks_with_scale(self):
+        gaps = []
+        for scale in (3, 10, 30):
+            est, s = _mc_zero_cells(SPARSE, scale)
+            gaps.append(abs(s.skewness - est.skewness))
+        assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_empty_row_matches_the_table_without_it(self):
+        # The same variates, and the margins of the same support.
+        with_row = mc_estimate(posterior([[3, 0, 2], [0, 0, 0], [1, 4, 0]]), 20_000, seed=3)
+        without = mc_estimate(posterior([[3, 0, 2], [1, 4, 0]]), 20_000, seed=3)
+        for f in ("mean", "variance", "skewness", "kurtosis", "se_mean",
+                  "se_variance", "se_skewness", "se_kurtosis"):
+            assert getattr(with_row, f) == pytest.approx(getattr(without, f), rel=1e-12)
 
 
 def _whole_block_values(c, n, seed):

@@ -10,7 +10,6 @@ from miposterior import (
     NumericPreconditionError,
     PriorSpec,
     ValidationError,
-    ZeroCellError,
     apply_prior,
     central3,
     central4,
@@ -103,11 +102,15 @@ class TestPointStats:
             assert st.k - st.j**2 >= 0
             assert st.q <= 1.0
 
-    def test_zero_cells_flag_m_p(self):
+    def test_zero_cells_sum_over_the_support(self):
+        # On the diagonal the log-ratio is log 2 in both cells: M and P are
+        # the support's sums, with the zero cells adding nothing.
         st = point_stats(posterior([[5, 0], [0, 5]]))
-        assert math.isnan(st.m) and math.isnan(st.p)
-        assert math.isfinite(st.j) and math.isfinite(st.k)
-        assert math.isfinite(st.q)
+        log2 = math.log(2.0)
+        assert st.j == st.k ** 0.5 == pytest.approx(log2, rel=1e-15)
+        assert st.m == pytest.approx(2.0 * (1.0 - 1.0 - 1.0 + 0.5) * log2, rel=1e-15)
+        assert st.p == pytest.approx(10.0 * 4.0 * (0.5 * log2) ** 2 / 5.0, rel=1e-15)
+        assert st.q == pytest.approx(1.0 - 2.0 * 1.0 * 1.0, rel=1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_counts_spanning_the_double_range_raise_without_warning(self):
@@ -252,10 +255,13 @@ class TestExpansions:
         assert var_o2(posterior([[1, 1], [1, 1]])) == pytest.approx(
             1.0 / 60.0, abs=1e-15)
 
-    def test_var_o2_zero_cell_error(self):
-        with pytest.raises(ZeroCellError) as ei:
-            var_o2(posterior([[5, 0], [0, 5]]))
-        assert (0, 1) in ei.value.cells and (1, 0) in ei.value.cells
+    def test_var_o2_on_zero_cells_is_the_supports(self):
+        # On the diagonal, I is the binary entropy of pi_11 ~ Beta(5, 5),
+        # whose variance, by 30-digit quadrature, is 0.0037370947203771586.
+        # var_o1 is 0 there: the log-ratio is log 2 on the whole support.
+        c = posterior([[5, 0], [0, 5]])
+        assert var_o1(c) == 0.0
+        assert var_o2(c) == pytest.approx(0.0037370947203771586, rel=0.02)
 
     def test_var_o2_uniform_general(self):
         for r, s in ((2, 2), (3, 3), (2, 4)):
@@ -403,9 +409,10 @@ class TestSummarize:
 
     def test_zero_cells_flagged(self):
         s = summarize(posterior([[5, 0], [0, 5]]))
-        assert math.isnan(s.var_o2) and math.isnan(s.central3)
         assert s.flags["zero_cells"] == [(0, 1), (1, 0)]
-        assert math.isfinite(s.mean_exact) and math.isfinite(s.var_o1)
+        for v in (s.mean_exact, s.mean_o2, s.var_o1, s.var_o2, s.central3):
+            assert math.isfinite(v)
+        assert s.var_o2 > 0 and "validity_warning" not in s.flags
 
     def test_shape_underflow_flagged(self):
         # var_o1 is about 2e-172, so the fourth central moment underflows.
@@ -471,8 +478,15 @@ class TestInvariants:
 
 # The scalar formulas that the vectorized kernel replaced: one special.psi
 # call per cell and marginal summed with math.fsum, and the point statistics
-# recomputed for every quantity from log(n_ij n / (n_i+ n_+j)).
+# recomputed for every quantity from log(n_ij n / (n_i+ n_+j)). Each runs
+# over the support: the table with its empty rows and columns deleted, and
+# its zero cells adding nothing.
+def _support(n):
+    return n[n.sum(axis=1) > 0][:, n.sum(axis=0) > 0]
+
+
 def _old_point_stats(n):
+    n = _support(n)
     total = n.sum()
     rows, cols = n.sum(axis=1), n.sum(axis=0)
     outer = np.outer(rows, cols)
@@ -480,15 +494,14 @@ def _old_point_stats(n):
     lr = np.zeros_like(n)
     lr[pos] = np.log(n[pos] * total / outer[pos])
     wl = n / total * lr
-    st = {"j": float(wl.sum()), "k": float((wl * lr).sum()),
-          "l": float((wl * lr * lr).sum())}
-    if np.all(pos):
-        row_j, col_j = wl.sum(axis=1), wl.sum(axis=0)
-        inv = 1.0 / n - (1.0 / rows)[:, None] - (1.0 / cols)[None, :] + 1.0 / total
-        st["m"] = float((inv * n * lr).sum())
-        st["p"] = float(total * ((row_j**2 / rows).sum() + (col_j**2 / cols).sum()))
-        st["q"] = 1.0 - float((n * n / outer).sum())
-    return st
+    row_j, col_j = wl.sum(axis=1), wl.sum(axis=0)
+    inv = (np.divide(1.0, n, out=np.zeros_like(n), where=pos)
+           - (1.0 / rows)[:, None] - (1.0 / cols)[None, :] + 1.0 / total)
+    return {"j": float(wl.sum()), "k": float((wl * lr).sum()),
+            "l": float((wl * lr * lr).sum()), "m": float((inv * n * lr).sum()),
+            "p": float(total * ((row_j**2 / rows).sum() + (col_j**2 / cols).sum())),
+            "q": 1.0 - float((n * n / outer).sum()),
+            "dof": int(pos.sum()) - n.shape[0] - n.shape[1] + 1}
 
 
 def _old_mean_exact(n):
@@ -501,28 +514,27 @@ def _old_mean_exact(n):
 
 
 def _old_summary(n):
-    r, s = n.shape
     total = float(n.sum())
+    if 1 in _support(n).shape:  # one variable is constant on the support
+        return dict.fromkeys(("mean_o2", "var_o1", "var_o2", "central3",
+                              "central4"), 0.0)
 
     def st():  # one point-statistics pass per quantity, as before
         return _old_point_stats(n)
 
-    out = {"mean_o2": st()["j"] + (r - 1) * (s - 1) / (2.0 * (total + 1.0)),
+    out = {"mean_o2": st()["j"] + st()["dof"] / (2.0 * (total + 1.0)),
            "var_o1": max(0.0, st()["k"] - st()["j"] ** 2) / (total + 1.0),
            "central4": 3.0 * max(0.0, st()["k"] - st()["j"] ** 2) ** 2 / total**2}
-    if np.all(n > 0):
-        a = st()
-        out["var_o2"] = out["var_o1"] + (
-            a["m"] + (r - 1) * (s - 1) * (0.5 - a["j"]) - a["q"]
-        ) / ((total + 1.0) * (total + 2.0))
-        out["central3"] = (2.0 / total**2) * (
-            2.0 * a["j"] ** 3 - 3.0 * a["k"] * a["j"] + a["l"]
-        ) + (3.0 / total**2) * (a["k"] + a["j"] ** 2 - a["p"])
+    a = st()
+    out["var_o2"] = out["var_o1"] + (
+        a["m"] + a["dof"] * (0.5 - a["j"]) - a["q"]
+    ) / ((total + 1.0) * (total + 2.0))
+    out["central3"] = (2.0 / total**2) * (
+        2.0 * a["j"] ** 3 - 3.0 * a["k"] * a["j"] + a["l"]
+    ) + (3.0 / total**2) * (a["k"] + a["j"] ** 2 - a["p"])
     if out["var_o1"] > 0:
-        var = out["var_o1"]
-        if out.get("var_o2", 0.0) > 0:
-            var = out["var_o2"]
-        out["skewness"] = out.get("central3", math.nan) / var**1.5
+        var = out["var_o2"] if out["var_o2"] > 0 else out["var_o1"]
+        out["skewness"] = out["central3"] / var**1.5
         out["kurtosis"] = out["central4"] / var**2
     return out
 
@@ -539,7 +551,7 @@ class TestKernelRegression:
             got = summarize(c)
             for key, want in _old_summary(c.counts).items():
                 assert getattr(got, key) == pytest.approx(
-                    want, rel=1e-12, abs=1e-300, nan_ok=True), key
+                    want, rel=1e-12, abs=1e-300), key
             # The digamma sum cancels on near-independent tables, so the
             # bound is relative to the sum of its absolute terms.
             want, scale = _old_mean_exact(c.counts)
@@ -642,8 +654,70 @@ class TestShapeRegime:
         assert str(got.value) == str(want.value)
 
     def test_zero_cells_keep_the_leading_order_kurtosis(self):
+        # The kurtosis divides the leading-order central4 by the support's
+        # second-order variance, as on a table without zero cells, and the
+        # skewness is a number too.
         c = posterior([[5, 0, 1], [1, 5, 2]])
         s = summarize(c)
         skew, kurt = skew_kurt(c)
-        assert math.isnan(skew) and math.isnan(s.skewness)
-        assert kurt == s.kurtosis == s.central4 / s.var_o1 / s.var_o1
+        assert s.var_o2 > 0 and s.flags.keys() == {"zero_cells"}
+        assert skew == s.skewness == s.central3 / s.var_o2 / math.sqrt(s.var_o2)
+        assert kurt == s.kurtosis == s.central4 / s.var_o2 / s.var_o2
+
+
+class TestSupport:
+    # A zero posterior cell is 0 in every draw, so the posterior is the
+    # Dirichlet on the support S, the positive cells, and every moment is
+    # that of S. On a table without zero cells S is the whole grid.
+
+    @pytest.mark.parametrize("table", [
+        [[3, 0, 2], [1, 4, 0], [0, 2, 5]],
+        [[0.5, 3.5, 0], [2.5, 0.5, 1.5]],
+    ])
+    def test_mean_o2_is_second_order(self, table):
+        # J + dof_S / (2(n+1)), dof_S = |S| - r_S - s_S + 1: the relative
+        # error falls about 100 times per tenfold n (about 10 times with
+        # (r-1)(s-1) in place of dof_S).
+        errors = []
+        for scale in (1, 10, 100, 1000):
+            c = posterior(np.array(table, dtype=float) * scale)
+            errors.append(abs(mean_o2(c) / mean_exact(c) - 1.0))
+        for a, b in zip(errors, errors[1:]):
+            assert 50.0 <= a / b <= 150.0
+
+    def test_diagonal_by_hand(self):
+        # I is the binary entropy of pi_11 ~ Beta(5, 5): its mean is
+        # H_10 - H_5, and dof_S = 2 - 2 - 2 + 1 = -1.
+        c = posterior([[5, 0], [0, 5]])
+        harmonic = sum(1.0 / k for k in range(6, 11))
+        assert mean_exact(c) == pytest.approx(harmonic, rel=1e-14)
+        assert mean_o2(c) == pytest.approx(math.log(2.0) - 1.0 / 22.0, rel=1e-15)
+
+    def test_empty_rows_and_columns_change_only_i_max_and_the_ratio(self):
+        # i_max and validity_ratio count the whole grid; the moments do not.
+        s = summarize(posterior([[3, 0, 2, 0], [0, 0, 0, 0], [1, 4, 0, 0]]))
+        t = summarize(posterior([[3, 0, 2], [1, 4, 0]]))
+        for key in ("mean_exact", "mean_o2", "var_o1", "var_o2", "central3",
+                    "central4", "skewness", "kurtosis"):
+            assert getattr(s, key) == pytest.approx(getattr(t, key), rel=1e-13), key
+        assert (s.i_max, s.validity_ratio) == (math.log(3.0), 12.0 / 10.0)
+        assert (t.i_max, t.validity_ratio) == (math.log(2.0), 6.0 / 10.0)
+
+    @pytest.mark.parametrize("table", [[[3, 4], [0, 0]], [[0, 5, 0], [0, 2, 0]],
+                                       [[7, 0], [0, 0]]])
+    def test_support_in_one_row_or_column_is_a_constant_variable(self, table):
+        s = summarize(posterior(table))
+        assert list(s.flags) == ["zero_cells", "constant_variable"]
+        assert (s.mean_exact, s.mean_o2, s.var_o1, s.var_o2, s.central3,
+                s.central4) == (0.0,) * 6
+        with pytest.raises(DegenerateError, match="constant variable"):
+            skew_kurt(posterior(table))
+
+    def test_custom_prior_zero_entries_are_zero_cells(self):
+        # A zero pseudo-count over a zero count leaves a zero cell, as under
+        # Haldane; the same posterior counts give the same moments.
+        counts = CountsTable(np.array([[3.0, 0.0, 2.0], [1.0, 4.0, 0.0]]))
+        prior = PriorSpec("custom", np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.5]]))
+        s = summarize(apply_prior(counts, prior))
+        t = summarize(posterior([[3.5, 0.0, 2.5], [1.5, 4.5, 0.5]]))
+        assert s == t and s.flags == {"zero_cells": [(0, 1)]}

@@ -66,6 +66,19 @@ def close(a, b):
 # Derandomized, so that every run of the suite draws the same tables.
 SETTINGS = {"deadline": None, "derandomize": True}
 
+MOMENTS = ("mean_exact", "mean_o2", "var_o1", "var_o2", "central3", "central4")
+
+
+def moment_scales(s, n):
+    """The size of each moment on a table with this I_max and posterior
+    total n: I_max for the means, I_max^2 / n for the variances, I_max^3 / n^2
+    and I_max^4 / n^2 for the third and fourth central moments. A moment
+    that cancels to near 0, such as central3 where the log-ratio is constant
+    on the support, is compared on this scale rather than relative to
+    itself."""
+    return dict(zip(MOMENTS, (s.i_max, s.i_max, s.i_max**2 / n, s.i_max**2 / n,
+                              s.i_max**3 / n / n, s.i_max**4 / n / n)))
+
 
 @settings(max_examples=150, **SETTINGS)
 @given(tables(), st.sampled_from(PRIORS), st.randoms(use_true_random=False))
@@ -80,13 +93,18 @@ def test_summarize_invariant_under_permutation_and_transpose(counts, prior, rnd)
         assert (err is None) == (other_err is None)
         if err is not None:
             continue
-        for key in ("mean_exact", "mean_o2", "var_o2", "i_max", "validity_ratio"):
+        # Zero cells (Haldane) included: the moments are the support's.
+        scales = moment_scales(s, c.total)
+        for key in MOMENTS:
+            a, b = getattr(s, key), getattr(t, key)
+            assert abs(a - b) <= 1e-13 * max(abs(a), abs(b), scales[key]), key
+        for key in ("i_max", "validity_ratio"):
             assert close(getattr(s, key), getattr(t, key)), key
         assert s.flags.keys() == t.flags.keys()
         # On an independent table the plug-in log-ratios are rounding noise,
-        # and so is every moment built on K - J^2: compare those above it.
+        # and so are the shape ratios built on K - J^2: compare those above it.
         if min(c.stats.k, d.stats.k) > 1e-16:
-            for key in ("var_o1", "central3", "central4", "skewness", "kurtosis"):
+            for key in ("skewness", "kurtosis"):
                 assert close(getattr(s, key), getattr(t, key)), key
 
 
@@ -118,7 +136,11 @@ def test_skew_kurt_reads_summarize(counts, prior):
             skew_kurt(c)
         assert str(ei.value) == str(err)
         return
+    # Flags, not NaN: the moments are numbers, zero cells included, and
+    # only a shape flag leaves skewness and kurtosis NaN.
+    assert all(math.isfinite(getattr(s, key)) for key in MOMENTS)
     flagged = [key for key in SHAPE_FLAGS if key in s.flags]
+    assert bool(flagged) == math.isnan(s.skewness) == math.isnan(s.kurtosis)
     if not flagged:
         sk, ku = skew_kurt(c)
         assert np.array_equal([sk, ku], [s.skewness, s.kurtosis], equal_nan=True)

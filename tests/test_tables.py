@@ -196,16 +196,6 @@ def test_posterior_arrays_are_read_only():
             arr[0] = 9.0
 
 
-def test_require_all_positive_names_cells():
-    from miposterior import ZeroCellError
-
-    apply_prior(parse_table("5,1\n1,5"), PriorSpec("haldane")).require_all_positive("x")
-    c = apply_prior(parse_table("5,0\n0,5"), PriorSpec("haldane"))
-    with pytest.raises(ZeroCellError, match=r"^x requires .*\(0, 1\), \(1, 0\)") as ei:
-        c.require_all_positive("x")
-    assert ei.value.cells == [(0, 1), (1, 0)]
-
-
 def test_posterior_counts_keeps_no_writable_caller_array():
     # Built with its own constructor, the posterior must not share a writable
     # array with the caller, or its cached statistics go stale.
