@@ -70,13 +70,15 @@ MOMENTS = ("mean_exact", "mean_o2", "var_o1", "var_o2", "central3", "central4")
 
 
 def moment_scales(s, n):
-    """The size of each moment on a table with this I_max and posterior
-    total n: I_max for the means, I_max^2 / n for the variances, I_max^3 / n^2
-    and I_max^4 / n^2 for the third and fourth central moments. A moment
+    """The size of each moment's terms on a table with this I_max and
+    posterior total n: I_max for the means, I_max^2 / (n + 1) for the
+    variances (both divide by n + 1 or more), I_max^3 / n^2 and I_max^4 / n^2
+    for the third and fourth central moments (they divide by n^2). A moment
     that cancels to near 0, such as central3 where the log-ratio is constant
     on the support, is compared on this scale rather than relative to
     itself."""
-    return dict(zip(MOMENTS, (s.i_max, s.i_max, s.i_max**2 / n, s.i_max**2 / n,
+    v = s.i_max**2 / (n + 1.0)
+    return dict(zip(MOMENTS, (s.i_max, s.i_max, v, v,
                               s.i_max**3 / n / n, s.i_max**4 / n / n)))
 
 
@@ -98,13 +100,13 @@ def test_summarize_invariant_under_permutation_and_transpose(counts, prior, rnd)
         for key in MOMENTS:
             a, b = getattr(s, key), getattr(t, key)
             assert abs(a - b) <= 1e-13 * max(abs(a), abs(b), scales[key]), key
-        for key in ("i_max", "validity_ratio"):
+        for key in ("mean_exact", "mean_o2", "var_o2", "i_max", "validity_ratio"):
             assert close(getattr(s, key), getattr(t, key)), key
         assert s.flags.keys() == t.flags.keys()
         # On an independent table the plug-in log-ratios are rounding noise,
-        # and so are the shape ratios built on K - J^2: compare those above it.
+        # and so is every moment built on K - J^2: compare those above it.
         if min(c.stats.k, d.stats.k) > 1e-16:
-            for key in ("skewness", "kurtosis"):
+            for key in ("var_o1", "central3", "central4", "skewness", "kurtosis"):
                 assert close(getattr(s, key), getattr(t, key)), key
 
 
